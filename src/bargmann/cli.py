@@ -1,8 +1,14 @@
-"""Batch command-line frontend.
+"""Batch command-line frontend: one command table driven by one runner.
 
-Reads state sets from JSON documents, runs invariant evaluation, coherence
-decisions, estimation, or any auxiliary criterion, and writes one JSON
-report to stdout (or ``--out``).  Diagnostics go to stderr only.
+``COMMANDS`` maps each subcommand name to a :class:`Command`, which holds its
+help line, its own arguments, and a compute function
+``(args, states) -> (payload, finding)``.  ``build_parser`` turns the table
+into the argparse tree, adding the ``file`` positional to every command that
+reads a state set and ``--out`` to every command; ``main`` parses with the
+parser built once at import.  The runner then loads the state set (for
+commands that take ``file``), computes, writes ``payload`` as one JSON report
+to stdout (or ``--out``), and maps ``finding`` to the exit code.
+Diagnostics go to stderr only.
 
 Exit codes: 0 = negative result / pass, 1 = positive finding (set coherence
 detected, membership or bound violated, reference deviation), 2 = usage or
@@ -12,8 +18,11 @@ input error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -37,261 +46,208 @@ def _write_report(payload, out_path: "str | None") -> None:
             fh.write(text)
 
 
-def _add_out(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None, help="output file (default: stdout)")
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: help line, compute function and own arguments.
+
+    ``compute(args, states)`` returns ``(payload, finding)``; ``states`` is the
+    list of validated states read from ``file``, or None when ``reads_file``
+    is false.  ``arguments`` are ``(flags, kwargs)`` pairs for
+    ``add_argument``, in help order; ``file`` and ``--out`` are not listed.
+    """
+
+    help: str
+    compute: Callable
+    arguments: tuple
+    reads_file: bool = True
+    file_help: "str | None" = None
 
 
-def _add_tol(parser: argparse.ArgumentParser, default: float) -> None:
-    parser.add_argument(
-        "--tol", type=float, default=default, help=f"tolerance (default {default})"
-    )
+def _arg(*flags, **kwargs) -> tuple:
+    return flags, kwargs
 
 
-def cmd_invariant(args) -> int:
-    state_set = io.load_state_set(args.file)
+def _tol(default: float) -> tuple:
+    return _arg("--tol", type=float, default=default, help=f"tolerance (default {default})")
+
+
+_SEED = _arg("--seed", type=int, default=0)
+
+
+def _trio(args, ops) -> list:
+    if len(ops) != 3:
+        raise BargmannError(f"{args.command} requires exactly 3 states, got {len(ops)}")
+    return ops
+
+
+def _invariant(args, ops):
     word = parse_word(args.word)
-    value = bargmann_invariant(list(state_set.states), word)
-    _write_report(
-        {"word": word_text(word), "re": value.real, "im": value.imag}, args.out
-    )
-    return EXIT_OK
+    value = bargmann_invariant(ops, word)
+    return {"word": word_text(word), "re": value.real, "im": value.imag}, False
 
 
-def cmd_coherence(args) -> int:
-    state_set = io.load_state_set(args.file)
+def _coherence(args, ops):
     if args.reference is not None:
         report = criteria.reduced_set_coherence(
-            list(state_set.states),
-            args.reference,
-            tol=args.tol,
-            gap_tol=args.gap_tol,
+            ops, args.reference, tol=args.tol, gap_tol=args.gap_tol
         )
     else:
-        report = criteria.set_coherence_decide(list(state_set.states), tol=args.tol)
-    payload = report.to_dict()
-    payload["tol"] = args.tol
-    _write_report(payload, args.out)
-    return EXIT_OK if report.verdict == criteria.SET_INCOHERENT else EXIT_FINDING
+        report = criteria.set_coherence_decide(ops, tol=args.tol)
+    return {**report.to_dict(), "tol": args.tol}, report.verdict != criteria.SET_INCOHERENT
 
 
-def cmd_estimate(args) -> int:
-    state_set = io.load_state_set(args.file)
+def _estimate(args, ops):
     config = estimator.EstimatorConfig(
         shots_per_setting=args.shots, seed=args.seed, settings=args.settings
     )
-    result = estimator.estimate_invariant(list(state_set.states), parse_word(args.word), config)
-    _write_report(result.to_dict(), args.out)
-    return EXIT_OK
+    return estimator.estimate_invariant(ops, parse_word(args.word), config).to_dict(), False
 
 
-def cmd_estimate_gap(args) -> int:
-    state_set = io.load_state_set(args.file)
+def _estimate_gap(args, ops):
     config = estimator.EstimatorConfig(shots_per_setting=args.shots, seed=args.seed)
-    result = estimator.estimate_gap(list(state_set.states), config)
-    _write_report(result.to_dict(), args.out)
-    return EXIT_OK
+    return estimator.estimate_gap(ops, config).to_dict(), False
 
 
-def cmd_paper_check(args) -> int:
+def _paper_check(args, _):
     names = None
     if args.fixtures is not None:
         names = [n.strip() for n in args.fixtures.split(",") if n.strip()]
     report = fixtures.paper_check(names)
-    _write_report(report.to_json(), args.out)
-    return EXIT_OK if report.passed else EXIT_FINDING
+    return report.to_json(), not report.passed
 
 
-def cmd_random(args) -> int:
+def _random(args, _):
     rng = np.random.default_rng(args.seed)
     if args.ensemble == "commuting":
         drawn = states.commuting_set(args.dim, args.count, rng)
     else:
         drawn = [states.random_state(args.dim, args.ensemble, rng) for _ in range(args.count)]
-    _write_report(io.state_set_to_document(drawn), args.out)
-    return EXIT_OK
+    return io.state_set_to_document(drawn), False
 
 
-def cmd_qubit_check(args) -> int:
-    state_set = io.load_state_set(args.file)
-    if state_set.dimension != 2:
-        raise BargmannError(
-            f"qubit-check requires dimension 2, got {state_set.dimension}"
-        )
-    ops = list(state_set.states)
+def _qubit_check(args, ops):
+    if ops[0].dim != 2:
+        raise BargmannError(f"qubit-check requires dimension 2, got {ops[0].dim}")
     pairs = []
     all_commute = True
-    for l in range(1, len(ops) + 1):
-        for k in range(l + 1, len(ops) + 1):
-            res = criteria.qubit_criterion(
-                states.purity(ops[l - 1]),
-                states.purity(ops[k - 1]),
-                states.overlap(ops[l - 1], ops[k - 1]),
-                tol=args.tol,
-            )
-            all_commute = all_commute and res.commutes
-            pairs.append({"indices": [l, k], **res.to_dict()})
+    for l, k in itertools.combinations(range(len(ops)), 2):
+        res = criteria.qubit_criterion(
+            states.purity(ops[l]),
+            states.purity(ops[k]),
+            states.overlap(ops[l], ops[k]),
+            tol=args.tol,
+        )
+        all_commute = all_commute and res.commutes
+        pairs.append({"indices": [l + 1, k + 1], **res.to_dict()})
     verdict = criteria.SET_INCOHERENT if all_commute else criteria.SET_COHERENT
-    _write_report({"pairs": pairs, "verdict": verdict, "tol": args.tol}, args.out)
-    return EXIT_OK if all_commute else EXIT_FINDING
+    return {"pairs": pairs, "verdict": verdict, "tol": args.tol}, not all_commute
 
 
-def cmd_gram(args) -> int:
-    state_set = io.load_state_set(args.file)
-    report = criteria.gram_rank_criterion(
-        list(state_set.states), tol=args.tol, convention=args.convention
-    )
-    payload = report.to_dict()
-    payload["gram"] = criteria.gram_bloch(
-        list(state_set.states), convention=report.convention
-    ).tolist()
-    _write_report(payload, args.out)
-    return EXIT_FINDING if report.verdict == criteria.SET_COHERENT else EXIT_OK
+def _gram(args, ops):
+    report = criteria.gram_rank_criterion(ops, tol=args.tol, convention=args.convention)
+    return report.to_dict(), report.verdict == criteria.SET_COHERENT
 
 
-def cmd_facets(args) -> int:
-    state_set = io.load_state_set(args.file)
-    ops = list(state_set.states)
-    if len(ops) != 3:
-        raise BargmannError(f"facets requires exactly 3 states, got {len(ops)}")
+def _facets(args, ops):
+    a, b, c = _trio(args, ops)
     report = criteria.c3_facet_check(
-        states.overlap(ops[0], ops[1]),
-        states.overlap(ops[0], ops[2]),
-        states.overlap(ops[1], ops[2]),
-        tol=args.tol,
+        states.overlap(a, b), states.overlap(a, c), states.overlap(b, c), tol=args.tol
     )
-    _write_report(report.to_dict(), args.out)
-    return EXIT_OK if report.member else EXIT_FINDING
+    return report.to_dict(), not report.member
 
 
-def cmd_imaginarity(args) -> int:
-    state_set = io.load_state_set(args.file)
-    ops = list(state_set.states)
-    if len(ops) != 3:
-        raise BargmannError(f"imaginarity requires exactly 3 states, got {len(ops)}")
-    witness = criteria.imaginarity_witness(ops[0], ops[1], ops[2])
-    payload = witness.to_dict()
-    payload["tol"] = args.tol
-    _write_report(payload, args.out)
-    detected = abs(witness.im_delta) > args.tol
-    return EXIT_FINDING if detected else EXIT_OK
+def _imaginarity(args, ops):
+    witness = criteria.imaginarity_witness(*_trio(args, ops))
+    return {**witness.to_dict(), "tol": args.tol}, abs(witness.im_delta) > args.tol
+
+
+COMMANDS = {
+    "invariant": Command("evaluate one invariant tr(rho_l1 ... rho_lm)", _invariant, (
+        _arg("--word", required=True, help="comma-separated 1-based labels, e.g. 1,2,3"),
+    ), file_help="state-set JSON document"),
+    "coherence": Command("decide set coherence from pairwise gaps", _coherence, (
+        _tol(criteria.COMMUTE_TOL),
+        _arg("--reference", type=int, default=None,
+             help="1-based label of a non-degenerate reference state (reduced mode)"),
+        _arg("--gap-tol", type=float, default=states.GAP_TOL,
+             help="minimal spectral gap required of the reference"),
+    )),
+    "estimate": Command("shot-based estimate of one invariant", _estimate, (
+        _arg("--word", required=True),
+        _arg("--shots", type=int, required=True, help="shots per measurement setting"),
+        _SEED,
+        _arg("--settings", choices=estimator.SETTINGS, default="real_and_imag"),
+    )),
+    "estimate-gap": Command("shot-based estimate of a pair's gap", _estimate_gap, (
+        _arg("--shots", type=int, required=True),
+        _SEED,
+    )),
+    "paper-check": Command(
+        "verify the built-in fixtures against their reference values", _paper_check, (
+            _arg("--fixtures", default=None,
+                 help=f"comma-separated subset of {', '.join(fixtures.FIXTURE_NAMES)}"),
+        ), reads_file=False),
+    "random": Command("generate a random state-set document", _random, (
+        _arg("--dim", type=int, required=True),
+        _arg("--count", type=int, required=True),
+        _arg("--ensemble", choices=list(states.ENSEMBLES) + ["commuting"],
+             default="ginibre_mixed"),
+        _SEED,
+    ), reads_file=False),
+    "qubit-check": Command("pairwise qubit criterion from overlaps", _qubit_check, (
+        _tol(criteria.COMMUTE_TOL),
+    )),
+    "gram": Command("Bloch Gram matrix rank test", _gram, (
+        _tol(criteria.FACET_TOL),
+        _arg("--convention", choices=["pauli", "orthonormal"], default=None,
+             help="Bloch convention (default: pauli for qubits, else orthonormal)"),
+    )),
+    "facets": Command("three-state overlap polytope facets", _facets, (
+        _tol(criteria.FACET_TOL),
+    )),
+    "imaginarity": Command("third-order imaginarity witness bound", _imaginarity, (
+        _tol(criteria.COMMUTE_TOL),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree for ``COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="bargmann",
         description="Multivariate-trace invariants and set-coherence tests "
         "for collections of positive operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("invariant", help="evaluate one invariant tr(rho_l1 ... rho_lm)")
-    p.add_argument("file", help="state-set JSON document")
-    p.add_argument("--word", required=True, help="comma-separated 1-based labels, e.g. 1,2,3")
-    _add_out(p)
-    p.set_defaults(func=cmd_invariant)
-
-    p = sub.add_parser("coherence", help="decide set coherence from pairwise gaps")
-    p.add_argument("file")
-    _add_tol(p, criteria.COMMUTE_TOL)
-    p.add_argument(
-        "--reference",
-        type=int,
-        default=None,
-        help="1-based label of a non-degenerate reference state (reduced mode)",
-    )
-    p.add_argument(
-        "--gap-tol",
-        type=float,
-        default=states.GAP_TOL,
-        help="minimal spectral gap required of the reference",
-    )
-    _add_out(p)
-    p.set_defaults(func=cmd_coherence)
-
-    p = sub.add_parser("estimate", help="shot-based estimate of one invariant")
-    p.add_argument("file")
-    p.add_argument("--word", required=True)
-    p.add_argument("--shots", type=int, required=True, help="shots per measurement setting")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--settings", choices=estimator.SETTINGS, default="real_and_imag")
-    _add_out(p)
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("estimate-gap", help="shot-based estimate of a pair's gap")
-    p.add_argument("file")
-    p.add_argument("--shots", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    _add_out(p)
-    p.set_defaults(func=cmd_estimate_gap)
-
-    p = sub.add_parser(
-        "paper-check", help="verify the built-in fixtures against their reference values"
-    )
-    p.add_argument(
-        "--fixtures",
-        default=None,
-        help=f"comma-separated subset of {', '.join(fixtures.FIXTURE_NAMES)}",
-    )
-    _add_out(p)
-    p.set_defaults(func=cmd_paper_check)
-
-    p = sub.add_parser("random", help="generate a random state-set document")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument(
-        "--ensemble",
-        choices=list(states.ENSEMBLES) + ["commuting"],
-        default="ginibre_mixed",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    _add_out(p)
-    p.set_defaults(func=cmd_random)
-
-    p = sub.add_parser("qubit-check", help="pairwise qubit criterion from overlaps")
-    p.add_argument("file")
-    _add_tol(p, criteria.COMMUTE_TOL)
-    _add_out(p)
-    p.set_defaults(func=cmd_qubit_check)
-
-    p = sub.add_parser("gram", help="Bloch Gram matrix rank test")
-    p.add_argument("file")
-    _add_tol(p, criteria.FACET_TOL)
-    p.add_argument(
-        "--convention",
-        choices=["pauli", "orthonormal"],
-        default=None,
-        help="Bloch convention (default: pauli for qubits, else orthonormal)",
-    )
-    _add_out(p)
-    p.set_defaults(func=cmd_gram)
-
-    p = sub.add_parser("facets", help="three-state overlap polytope facets")
-    p.add_argument("file")
-    _add_tol(p, criteria.FACET_TOL)
-    _add_out(p)
-    p.set_defaults(func=cmd_facets)
-
-    p = sub.add_parser("imaginarity", help="third-order imaginarity witness bound")
-    p.add_argument("file")
-    _add_tol(p, criteria.COMMUTE_TOL)
-    _add_out(p)
-    p.set_defaults(func=cmd_imaginarity)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.reads_file:
+            p.add_argument("file", help=command.file_help)
+        for flags, kwargs in command.arguments:
+            p.add_argument(*flags, **kwargs)
+        p.add_argument("--out", default=None, help="output file (default: stdout)")
     return parser
 
 
+# Built once per process; parse_args leaves it unchanged, so calls share it.
+_PARSER = build_parser()
+
+
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if exc.code is not None else 0
         return int(code) if isinstance(code, int) else EXIT_ERROR
+    command = COMMANDS[args.command]
     try:
-        return args.func(args)
-    except (BargmannError, ValueError, OSError, json.JSONDecodeError) as exc:
+        ops = list(io.load_state_set(args.file).states) if command.reads_file else None
+        payload, finding = command.compute(args, ops)
+        _write_report(payload, args.out)
+    except (BargmannError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return EXIT_FINDING if finding else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -354,7 +354,7 @@ class GramRankReport:
     Rank <= d-1 is necessary for joint diagonalizability in dimension d, and
     also sufficient for qubits (where rank <= 1 means collinear Bloch
     vectors).  ``verdict`` is None when the test is inconclusive (condition
-    passed, d > 2).
+    passed, d > 2).  ``gram`` is the matrix the rank was taken of.
     """
 
     dimension: int
@@ -365,6 +365,7 @@ class GramRankReport:
     condition_ok: bool
     sufficient: bool
     verdict: str | None
+    gram: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -376,6 +377,7 @@ class GramRankReport:
             "condition_ok": self.condition_ok,
             "sufficient": self.sufficient,
             "verdict": self.verdict,
+            "gram": self.gram.tolist(),
         }
 
 
@@ -419,6 +421,7 @@ def gram_rank_criterion(
         condition_ok=condition_ok,
         sufficient=sufficient,
         verdict=verdict,
+        gram=g,
     )
 
 

@@ -48,14 +48,27 @@ class StateSet:
 
 def matrix_to_json(m: np.ndarray) -> list:
     """Nested [re, im] rows for a complex matrix."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def matrix_from_json(rows, dim: int) -> np.ndarray:
-    """Parse nested [re, im] rows back into a ``(dim, dim)`` complex array."""
+    """Parse nested [re, im] rows of JSON numbers (ints, floats, ``true``/``false``)
+    back into a ``(dim, dim)`` complex array."""
     if not isinstance(rows, list) or len(rows) != dim:
         raise DocumentError(f"matrix must have {dim} rows")
-    out = np.zeros((dim, dim), dtype=complex)
+    try:
+        parts = np.array(rows)
+    except ValueError:  # ragged nesting
+        parts = None
+    if parts is None or parts.shape != (dim, dim, 2) or parts.dtype.kind not in "biuf":
+        parts = _checked_parts(rows, dim)
+    # A trailing [re, im] axis of float64 is the memory layout of complex128.
+    return np.asarray(parts, dtype=float).view(complex)[..., 0]
+
+
+def _checked_parts(rows: list, dim: int) -> np.ndarray:
+    """Name the first malformed row or entry, else convert ints beyond 64 bits."""
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise DocumentError(f"row {i} must have {dim} entries")
@@ -65,11 +78,11 @@ def matrix_from_json(rows, dim: int) -> np.ndarray:
                 or len(entry) != 2
                 or not all(isinstance(x, (int, float)) for x in entry)
             ):
-                raise DocumentError(
-                    f"entry ({i}, {j}) must be a [re, im] pair of numbers"
-                )
-            out[i, j] = complex(entry[0], entry[1])
-    return out
+                raise DocumentError(f"entry ({i}, {j}) must be a [re, im] pair of numbers")
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError as exc:
+        raise DocumentError(f"matrix entry out of double range: {exc}") from None
 
 
 def state_set_to_document(
@@ -99,7 +112,7 @@ def state_set_from_document(doc: dict) -> StateSet:
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     dim = doc.get("dimension")
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise DocumentError("'dimension' must be a positive integer")
     entries = doc.get("states")
     if not isinstance(entries, list) or not entries:

@@ -215,7 +215,7 @@ def test_reports_are_clean_json_on_stdout(fixture_file, capsys):
     assert captured.err == ""
 
 
-def test_document_validation(tmp_path):
+def test_document_validation(tmp_path, capsys):
     doc = {"dimension": 2, "states": [{"label": "a", "matrix": [[[1, 0]]]}]}
     path = tmp_path / "short.json"
     path.write_text(json.dumps(doc))
@@ -232,6 +232,20 @@ def test_document_validation(tmp_path):
     path.write_text(json.dumps(doc))
     assert main(["coherence", str(path)]) == 2
 
+    # a boolean dimension, and an int entry beyond the double range, are input
+    # errors rather than escaping exceptions
+    for name, doc in [
+        ("booldim", {"dimension": True, "states": [{"label": "a", "matrix": [[[1, 0]]]}]}),
+        ("huge", {"dimension": 1, "states": [{"label": "a", "matrix": [[[10**400, 0]]]}]}),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["coherence", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 def test_document_serialization_helpers():
     states = [validate_state(np.eye(2, dtype=complex) / 2)]
@@ -239,3 +253,35 @@ def test_document_serialization_helpers():
     parsed = bio.state_set_from_document(doc)
     assert parsed.labels == ("mixed",)
     np.testing.assert_array_equal(parsed.states[0].matrix, states[0].matrix)
+
+
+def test_defaults_do_not_leak_between_calls(fixture_file, capsys):
+    path = fixture_file("emc_rho_pair")
+    code, payload = run_json(capsys, ["coherence", path, "--reference", "1", "--tol", "1e-3"])
+    assert payload["mode"] == "reduced"
+    assert payload["tol"] == 1e-3
+
+    code, payload = run_json(capsys, ["coherence", path])
+    assert payload["mode"] == "full"
+    assert payload["tol"] == 1e-10
+
+
+def test_out_into_missing_directory(fixture_file, capsys, tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["coherence", fixture_file("emc_rho_pair"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["invariant", "coherence", "estimate", "estimate-gap", "paper-check", "random",
+     "qubit-check", "gram", "facets", "imaginarity"],
+)
+def test_subcommand_help(command, capsys):
+    assert main([command, "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"usage: bargmann {command}")
+    assert "--out OUT" in captured.out

@@ -358,6 +358,15 @@ def test_gram_rank_criterion_collinear():
     assert rep.verdict == SET_INCOHERENT
 
 
+def test_gram_rank_report_carries_its_matrix():
+    quartet = list(fixture("c4_quartet").states)
+    rep = gram_rank_criterion(quartet)
+    np.testing.assert_array_equal(rep.gram, gram_bloch(quartet, rep.convention))
+    payload = rep.to_dict()
+    assert list(payload)[-1] == "gram"
+    assert payload["gram"] == rep.gram.tolist()
+
+
 def test_gram_rank_consistent_with_gaps_for_qubits():
     rng = np.random.default_rng(48)
     for trial in range(50):
