@@ -3,8 +3,10 @@
 The central test: two positive (or merely Hermitian) operators commute if
 and only if tr(A^2 B^2) = tr(ABAB).  The difference of the two traces equals
 half the squared Hilbert-Schmidt norm of the commutator [A, B], so it is
-nonnegative and vanishes exactly at commutativity.  A collection of states
-is *set incoherent* (jointly diagonalizable) iff every pair passes.
+nonnegative and vanishes exactly at commutativity; it is computed directly
+as 1/2 ||AB - BA||_F^2, so it stays >= 0 in floating point.  Raw arrays must
+be Hermitian to ``states.HERM_TOL``.  A collection of states is *set
+incoherent* (jointly diagonalizable) iff every pair passes.
 
 The remaining criteria here are one-sided or dimension-specific companions:
 overlap-polytope facets on three states, Gram-matrix rank of Bloch vectors,
@@ -13,6 +15,7 @@ qubit polynomial reductions, and an imaginarity witness bound.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -24,13 +27,13 @@ from .exceptions import (
     ShapeError,
 )
 from .invariants import bargmann_invariant
-from .numkernel import chain_product_trace
 from .states import (
     GAP_TOL,
     BlochVector,
     PositiveOperator,
     as_matrix,
     bloch_map,
+    purity,
     spectral_profile,
 )
 
@@ -86,8 +89,9 @@ def _real_invariant(value: complex, what: str) -> float:
 class PairGap:
     """Fourth-order invariant gap of one pair of operators.
 
-    ``gap = delta_llkk - delta_lklk >= 0`` always, and ``gap == 0`` exactly
-    when the pair commutes.  ``indices`` are 1-based state labels.
+    ``gap = 1/2 ||AB - BA||_F^2`` is computed directly, so ``gap >= 0``
+    always; it equals ``delta_llkk - delta_lklk`` in exact arithmetic and is
+    0 exactly when the pair commutes.  ``indices`` are 1-based state labels.
     """
 
     indices: tuple[int, int]
@@ -144,14 +148,17 @@ def commutator_gap(
 ) -> PairGap:
     """Decide commutativity of a pair from two fourth-order traces.
 
-    Computes ``delta_llkk = tr(A^2 B^2)`` and ``delta_lklk = tr(ABAB)``;
-    the pair commutes iff the two agree.  Positivity of the inputs is not
-    required: the identity holds for arbitrary Hermitian operators.
+    One product M = AB gives ``delta_llkk = tr(A^2 B^2) = ||M||_F^2``,
+    ``delta_lklk = tr(ABAB) = sum_ij M_ij M_ji`` and
+    ``gap = 1/2 ||M - M†||_F^2``; the pair commutes iff the two traces agree,
+    i.e. iff the gap vanishes.  Positivity of the inputs is not required: the
+    identity holds for arbitrary Hermitian operators.
 
     Parameters
     ----------
     op1, op2 : PositiveOperator or array_like
-        Hermitian operators of equal dimension.
+        Hermitian operators of equal dimension; raw arrays must be Hermitian
+        to ``states.HERM_TOL`` (else :class:`HermiticityError`).
     tol : float
         Gap at or below this threshold counts as commuting.
     indices : tuple of int
@@ -160,15 +167,34 @@ def commutator_gap(
     a, b = as_matrix(op1), as_matrix(op2)
     if a.shape != b.shape:
         raise ShapeError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    d_llkk = _real_invariant(chain_product_trace([a, a, b, b]), "tr(A^2 B^2)")
-    d_lklk = _real_invariant(chain_product_trace([a, b, a, b]), "tr(ABAB)")
-    gap = d_llkk - d_lklk
+    m = a @ b
+    m_h = m.conj().T  # = BA
+    c = m - m_h
+    gap = 0.5 * float(np.vdot(c, c).real)
     return PairGap(
         indices=(int(indices[0]), int(indices[1])),
-        delta_llkk=d_llkk,
-        delta_lklk=d_lklk,
+        delta_llkk=float(np.vdot(m, m).real),
+        # vdot conjugates m_h back: sum_ij M_ji M_ij
+        delta_lklk=_real_invariant(complex(np.vdot(m_h, m)), "tr(ABAB)"),
         gap=gap,
         commutes=bool(gap <= tol),
+    )
+
+
+def _decide(states, index_pairs, tol, mode, reference) -> CoherenceReport:
+    """Gap of every 1-based (l, k) pair, the verdict and the report."""
+    pairs = tuple(
+        commutator_gap(states[l - 1], states[k - 1], tol=tol, indices=(l, k))
+        for l, k in index_pairs
+    )
+    verdict = SET_INCOHERENT if all(p.commutes for p in pairs) else SET_COHERENT
+    return CoherenceReport(
+        n=len(states),
+        pairs=pairs,
+        verdict=verdict,
+        mode=mode,
+        reference=reference,
+        invariant_count=2 * len(pairs),
     )
 
 
@@ -179,21 +205,7 @@ def set_coherence_decide(
     n = len(states)
     if n < 1:
         raise ValueError("need at least one state")
-    pairs = []
-    for l in range(1, n + 1):
-        for k in range(l + 1, n + 1):
-            pairs.append(
-                commutator_gap(states[l - 1], states[k - 1], tol=tol, indices=(l, k))
-            )
-    verdict = SET_INCOHERENT if all(p.commutes for p in pairs) else SET_COHERENT
-    return CoherenceReport(
-        n=n,
-        pairs=tuple(pairs),
-        verdict=verdict,
-        mode="full",
-        reference=None,
-        invariant_count=2 * len(pairs),
-    )
+    return _decide(states, itertools.combinations(range(1, n + 1), 2), tol, "full", None)
 
 
 def reduced_set_coherence(
@@ -227,24 +239,8 @@ def reduced_set_coherence(
             f"reference state {ref_index} has degenerate spectrum "
             f"(min adjacent gap {profile.min_gap:.3e} <= {gap_tol:.1e})"
         )
-    pairs = []
-    for k in range(1, n + 1):
-        if k == ref_index:
-            continue
-        pairs.append(
-            commutator_gap(
-                states[ref_index - 1], states[k - 1], tol=tol, indices=(ref_index, k)
-            )
-        )
-    verdict = SET_INCOHERENT if all(p.commutes for p in pairs) else SET_COHERENT
-    return CoherenceReport(
-        n=n,
-        pairs=tuple(pairs),
-        verdict=verdict,
-        mode="reduced",
-        reference=ref_index,
-        invariant_count=2 * len(pairs),
-    )
+    pairs = [(ref_index, k) for k in range(1, n + 1) if k != ref_index]
+    return _decide(states, pairs, tol, "reduced", ref_index)
 
 
 # --------------------------------------------------------------------------
@@ -522,16 +518,9 @@ def imaginarity_witness(
 ) -> ImaginarityWitness:
     """Evaluate the imaginarity bound for an ordered state triple."""
     im_delta = bargmann_invariant([rho_l, rho_k, rho_s], (1, 2, 3)).imag
-    purity_l = _real_invariant(
-        chain_product_trace([rho_l.matrix, rho_l.matrix]), "tr(rho_l^2)"
-    )
+    # ||[rho_k, rho_s]||_F^2 = 2 gap >= 0 by construction.
     pair = commutator_gap(rho_k, rho_s)
-    radicand = 2.0 * pair.gap
-    if radicand < -1e-10:
-        raise NumericInconsistencyError(
-            f"negative commutator-norm radicand {radicand:.3e}"
-        )
-    rhs = float(np.sqrt(purity_l) * np.sqrt(max(radicand, 0.0)))
+    rhs = float(np.sqrt(purity(rho_l)) * np.sqrt(2.0 * pair.gap))
     lhs = 2.0 * abs(float(im_delta))
     return ImaginarityWitness(
         lhs=lhs,

@@ -1,8 +1,10 @@
 """Dense complex matrix kernel: chained trace products, norms, Hermitian eigensystems.
 
 Matrices are plain ``numpy`` arrays of ``complex128`` (row-major).  Every entry
-point validates shape and finiteness, so the higher layers can assume clean
-inputs.  Dimensions of a few hundred are the intended operating range.
+point takes raw arrays and checks their shape and finiteness, and
+:func:`hermitian_eig` also their Hermiticity.  States are checked once, by
+``states.validate_state``, and trusted afterwards, without a second scan.
+Dimensions of a few hundred are the intended operating range.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .exceptions import HermiticityError, NumericError, ShapeError
 __all__ = [
     "EigenSystem",
     "as_complex_matrix",
+    "as_hermitian_matrix",
     "chain_product_trace",
     "hermitian_eig",
     "hs_norm_sq",
@@ -43,6 +46,17 @@ def as_complex_matrix(a: "np.ndarray | Iterable") -> np.ndarray:
         raise ShapeError("matrix dimension must be positive")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ShapeError("matrix entries must be finite (no NaN/Inf)")
+    return m
+
+
+def as_hermitian_matrix(a: "np.ndarray | Iterable", herm_tol: float) -> np.ndarray:
+    """:func:`as_complex_matrix`, then require ``max |A - A†| <= herm_tol`` entrywise."""
+    m = as_complex_matrix(a)
+    dev = float(np.max(np.abs(m - m.conj().T)))
+    if dev > herm_tol:
+        raise HermiticityError(
+            f"matrix is not Hermitian: max |A - A†| = {dev:.3e} > {herm_tol:.3e}"
+        )
     return m
 
 
@@ -130,12 +144,7 @@ def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-12) -> EigenSystem:
     EigenSystem
         Ascending eigenvalues with orthonormal eigenvector columns.
     """
-    m = as_complex_matrix(a)
-    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if dev > herm_tol:
-        raise HermiticityError(
-            f"matrix is not Hermitian: max |A - A†| = {dev:.3e} > {herm_tol:.3e}"
-        )
+    m = as_hermitian_matrix(a, herm_tol)
     # Symmetrize the sub-tolerance residue so eigh sees an exactly Hermitian input.
     sym = (m + m.conj().T) / 2.0
     try:

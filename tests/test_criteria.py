@@ -17,7 +17,7 @@ from bargmann.criteria import (
     set_coherence_decide,
     winc_membership,
 )
-from bargmann.exceptions import DegenerateReferenceError, ShapeError
+from bargmann.exceptions import DegenerateReferenceError, HermiticityError, ShapeError
 from bargmann.fixtures import fixture
 from bargmann.invariants import bargmann_invariant
 from bargmann.numkernel import hs_norm_sq
@@ -85,6 +85,10 @@ def test_commutator_gap_accepts_plain_hermitian():
     assert pg.gap == pytest.approx(0.5 * hs_norm_sq(comm), rel=1e-12)
     with pytest.raises(ShapeError):
         commutator_gap(a, np.eye(3))
+    # a real non-symmetric matrix and its transpose are not Hermitian
+    n = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [4.0, 0.0, 1.0]])
+    with pytest.raises(HermiticityError):
+        commutator_gap(n, n.T)
 
 
 def test_gap_equals_half_commutator_norm():
@@ -211,6 +215,28 @@ def test_reduced_matches_full_verdict():
         full = set_coherence_decide(states)
         reduced = reduced_set_coherence(states, ref)
         assert reduced.verdict == full.verdict
+
+
+def test_decisions_do_not_rescan_validated_states(scan_calls):
+    states = commuting_set(4, 5, np.random.default_rng(45))
+    scan_calls.clear()
+    assert set_coherence_decide(states).verdict == SET_INCOHERENT
+    assert reduced_set_coherence(states, 1).verdict == SET_INCOHERENT
+    assert len(scan_calls) == 0
+
+
+def test_scaled_commuting_sets_are_incoherent():
+    # trace 100: the gap is computed as a norm, not as a difference of two
+    # traces of order 1e5, so rounding neither flips the verdict nor makes it
+    # negative
+    for seed in (0, 1, 2, 3):
+        states = [
+            validate_state(100.0 * s.matrix)
+            for s in commuting_set(8, 10, np.random.default_rng(seed))
+        ]
+        report = set_coherence_decide(states)
+        assert report.verdict == SET_INCOHERENT
+        assert all(p.gap >= 0.0 for p in report.pairs)
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from bargmann.exceptions import HermiticityError, ShapeError
 from bargmann.numkernel import (
     as_complex_matrix,
+    as_hermitian_matrix,
     chain_product_trace,
     hermitian_eig,
     hs_norm_sq,
@@ -107,6 +108,18 @@ def test_hermitian_eig_degenerate_identity():
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(HermiticityError):
         hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_as_hermitian_matrix():
+    m = as_hermitian_matrix([[1, 1j], [-1j, 2]], 1e-12)
+    assert m.dtype == np.complex128
+    # the check is entrywise against the given tolerance
+    near = np.array([[1, 1e-9], [0, 1]], dtype=complex)
+    assert as_hermitian_matrix(near, 1e-8) is near
+    with pytest.raises(HermiticityError):
+        as_hermitian_matrix(near, 1e-12)
+    with pytest.raises(ShapeError):
+        as_hermitian_matrix(np.zeros((2, 3)), 1e-12)
 
 
 def test_hermitian_eig_random_reconstruction():

@@ -52,6 +52,11 @@ def test_validate_state_rejections():
         validate_state(np.zeros((2, 2), dtype=complex))
 
 
+def test_validate_state_scans_once(scan_calls):
+    validate_state(np.diag([0.5, 0.3, 0.2]).astype(complex))
+    assert len(scan_calls) == 1
+
+
 def test_purity():
     assert purity(pure_state([1, 1j])) == pytest.approx(1.0, abs=1e-12)
     assert purity(maximally_mixed(2)) == pytest.approx(0.5)
