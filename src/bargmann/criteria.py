@@ -9,8 +9,9 @@ be Hermitian to ``states.HERM_TOL``.  A collection of states is *set
 incoherent* (jointly diagonalizable) iff every pair passes.
 
 The remaining criteria here are one-sided or dimension-specific companions:
-overlap-polytope facets on three states, Gram-matrix rank of Bloch vectors,
-qubit polynomial reductions, and an imaginarity witness bound.
+overlap-polytope facets on three states, Gram-matrix rank of Bloch vectors
+(from the overlaps tr(rho_i rho_j) and traces alone), qubit polynomial
+reductions, and an imaginarity witness bound.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .states import (
     BlochVector,
     PositiveOperator,
     as_matrix,
-    bloch_map,
     purity,
     spectral_profile,
 )
@@ -40,7 +40,6 @@ from .states import (
 __all__ = [
     "COMMUTE_TOL",
     "FACET_TOL",
-    "IM_DISCARD_TOL",
     "IM_ERROR_TOL",
     "SET_INCOHERENT",
     "SET_COHERENT",
@@ -68,21 +67,12 @@ __all__ = [
 # squared Hilbert-Schmidt norm of the commutator, and states have trace <= 1.
 COMMUTE_TOL = 1e-10
 FACET_TOL = 1e-9
-# Fourth-order pair invariants are provably real; residues above the discard
-# level signal accumulation noise, above the error level invalid input.
-IM_DISCARD_TOL = 1e-10
+# tr(ABAB) is real for Hermitian A, B and bounded by ||AB||_F^2 (Cauchy-Schwarz);
+# an imaginary part above IM_ERROR_TOL times that bound is not rounding.
 IM_ERROR_TOL = 1e-8
 
 SET_INCOHERENT = "set_incoherent"
 SET_COHERENT = "set_coherent"
-
-
-def _real_invariant(value: complex, what: str) -> float:
-    if abs(value.imag) > IM_ERROR_TOL:
-        raise NumericInconsistencyError(
-            f"{what} should be real, found imaginary part {value.imag:.3e}"
-        )
-    return float(value.real)
 
 
 @dataclass(frozen=True)
@@ -152,7 +142,8 @@ def commutator_gap(
     ``delta_lklk = tr(ABAB) = sum_ij M_ij M_ji`` and
     ``gap = 1/2 ||M - M†||_F^2``; the pair commutes iff the two traces agree,
     i.e. iff the gap vanishes.  Positivity of the inputs is not required: the
-    identity holds for arbitrary Hermitian operators.
+    identity holds for arbitrary Hermitian operators.  |Im tr(ABAB)| above
+    ``IM_ERROR_TOL * ||M||_F^2`` raises :class:`NumericInconsistencyError`.
 
     Parameters
     ----------
@@ -171,11 +162,16 @@ def commutator_gap(
     m_h = m.conj().T  # = BA
     c = m - m_h
     gap = 0.5 * float(np.vdot(c, c).real)
+    llkk = float(np.vdot(m, m).real)
+    lklk = complex(np.vdot(m_h, m))  # vdot conjugates m_h back: sum_ij M_ji M_ij
+    if abs(lklk.imag) > IM_ERROR_TOL * llkk:
+        raise NumericInconsistencyError(
+            f"tr(ABAB) should be real, found imaginary part {lklk.imag:.3e}"
+        )
     return PairGap(
         indices=(int(indices[0]), int(indices[1])),
-        delta_llkk=float(np.vdot(m, m).real),
-        # vdot conjugates m_h back: sum_ij M_ji M_ij
-        delta_lklk=_real_invariant(complex(np.vdot(m_h, m)), "tr(ABAB)"),
+        delta_llkk=llkk,
+        delta_lklk=lklk.real,
         gap=gap,
         commutes=bool(gap <= tol),
     )
@@ -337,16 +333,31 @@ def qubit_fourth_order(
 # --------------------------------------------------------------------------
 
 def gram_bloch(states: list[PositiveOperator], convention: str) -> np.ndarray:
-    """Gram matrix G_ij = <r_i, r_j> of the states' Bloch vectors."""
-    vectors = [bloch_map(s, convention=convention).components for s in states]
-    r = np.asarray(vectors, dtype=float)
-    return r @ r.T
+    """Gram matrix G_ij = <r_i, r_j> of the states' Bloch vectors, from overlaps.
+
+    ``G = c (Z - t t^T / d)`` with Z_ij = tr(rho_i rho_j) and t_i = tr rho_i:
+    c = 1 for ``orthonormal``, as {I/sqrt(d), T_a} is an orthonormal basis;
+    c = 2 for ``pauli``, as rho = (tr rho I + <r, P>)/2.  No Bloch vector is
+    built: O(n^2 d^2) time and O(n d^2) memory in any dimension.
+    """
+    x = np.stack([as_matrix(s) for s in states])
+    n, d = x.shape[:2]
+    c = {"pauli": 2.0, "orthonormal": 1.0}.get(convention)
+    if c is None:
+        raise ValueError(f"unknown Bloch convention {convention!r}")
+    if convention == "pauli" and d != 2:
+        raise ShapeError(f"pauli convention requires dimension 2, got {d}")
+    t = np.trace(x, axis1=1, axis2=2).real
+    v = x.reshape(n, -1).view(np.float64)  # v_i . v_j = Re tr(rho_i rho_j†)
+    return c * (v @ v.T - np.outer(t, t) / d)
 
 
 @dataclass(frozen=True)
 class GramRankReport:
     """Numerical rank of the Bloch Gram matrix against the d-1 bound.
 
+    ``gram`` is c (Z - t t^T / d), Z_ij = tr(rho_i rho_j), t_i = tr rho_i (see
+    :func:`gram_bloch`): overlaps and traces suffice, in any dimension d.
     Rank <= d-1 is necessary for joint diagonalizability in dimension d, and
     also sufficient for qubits (where rank <= 1 means collinear Bloch
     vectors).  ``verdict`` is None when the test is inconclusive (condition

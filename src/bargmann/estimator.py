@@ -13,10 +13,11 @@ independent and bit-reproducible.  The generator family is numpy's PCG64
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .criteria import commutator_gap
 from .exceptions import NormalizationError
 from .invariants import Word, bargmann_invariant, check_word, word_text
 from .states import PositiveOperator
@@ -118,30 +119,22 @@ def estimate_invariant(
     """
     w = check_word(word, n_states=len(states))
     _require_normalized(states)
-    exact = bargmann_invariant(states, w)
-    shots = config.shots_per_setting
+    return _sample(w, bargmann_invariant(states, w), config)
 
+
+def _sample(word: Word, exact: complex, config: EstimatorConfig) -> EstimateResult:
+    """Shots for the exact value of ``word``, from its (seed, word, setting) streams."""
+    shots = config.shots_per_setting
     re_est, re_err = _sample_component(
-        exact.real, shots, _component_stream(config, w, _RE_SETTING)
+        exact.real, shots, _component_stream(config, word, _RE_SETTING)
     )
-    if config.settings == "real_only":
-        return EstimateResult(
-            word=w,
-            estimate=complex(re_est, 0.0),
-            stderr_re=re_err,
-            stderr_im=0.0,
-            shots_used=shots,
+    im_est, im_err, used = 0.0, 0.0, shots
+    if config.settings != "real_only":
+        im_est, im_err = _sample_component(
+            exact.imag, shots, _component_stream(config, word, _IM_SETTING)
         )
-    im_est, im_err = _sample_component(
-        exact.imag, shots, _component_stream(config, w, _IM_SETTING)
-    )
-    return EstimateResult(
-        word=w,
-        estimate=complex(re_est, im_est),
-        stderr_re=re_err,
-        stderr_im=im_err,
-        shots_used=2 * shots,
-    )
+        used = 2 * shots
+    return EstimateResult(word, complex(re_est, im_est), re_err, im_err, used)
 
 
 @dataclass(frozen=True)
@@ -167,19 +160,18 @@ def estimate_gap(
 ) -> GapEstimate:
     """Estimate the commutativity gap of a normalized pair.
 
-    The two fourth-order invariants are real, so only real settings are
-    sampled (independently per word); the standard error of the difference
+    The two fourth-order invariants are real and both come from one
+    ``commutator_gap`` call; only real settings are sampled, independently
+    per word (1,1,2,2) and (1,2,1,2).  The standard error of the difference
     is the root-sum-square of the component errors.
     """
     if len(states) != 2:
         raise ValueError(f"estimate_gap needs exactly 2 states, got {len(states)}")
-    real_cfg = EstimatorConfig(
-        shots_per_setting=config.shots_per_setting,
-        seed=config.seed,
-        settings="real_only",
-    )
-    est_1122 = estimate_invariant(states, (1, 1, 2, 2), real_cfg)
-    est_1212 = estimate_invariant(states, (1, 2, 1, 2), real_cfg)
+    _require_normalized(states)
+    pair = commutator_gap(*states)
+    real_cfg = replace(config, settings="real_only")
+    est_1122 = _sample((1, 1, 2, 2), pair.delta_llkk, real_cfg)
+    est_1212 = _sample((1, 2, 1, 2), pair.delta_lklk, real_cfg)
     gap = est_1122.estimate.real - est_1212.estimate.real
     err = float(np.hypot(est_1122.stderr_re, est_1212.stderr_re))
     return GapEstimate(

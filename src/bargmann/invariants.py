@@ -3,6 +3,7 @@
 A word (l1, ..., lm) of 1-based labels picks an ordered tuple of states and
 induces the invariant tr(rho_l1 ... rho_lm), unchanged under simultaneous
 unitary conjugation of all states and under cyclic rotation of the word.
+Validated states are trusted: their matrices enter the product unscanned.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import WordError
-from .numkernel import chain_product_trace
-from .states import PositiveOperator
+from .numkernel import product_trace
+from .states import PositiveOperator, as_matrix
 
 __all__ = [
     "Word",
@@ -107,7 +108,7 @@ def bargmann_invariant(states: list[PositiveOperator], word: Word) -> complex:
     For normalized states the modulus never exceeds 1 (up to rounding).
     """
     w = check_word(word, n_states=len(states))
-    return chain_product_trace([states[letter - 1].matrix for letter in w])
+    return product_trace([as_matrix(states[letter - 1]) for letter in w])
 
 
 def evaluate_scenario(

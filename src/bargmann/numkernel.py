@@ -1,10 +1,10 @@
 """Dense complex matrix kernel: chained trace products, norms, Hermitian eigensystems.
 
 Matrices are plain ``numpy`` arrays of ``complex128`` (row-major).  Every entry
-point takes raw arrays and checks their shape and finiteness, and
+point but :func:`product_trace` checks raw arrays' shape and finiteness, and
 :func:`hermitian_eig` also their Hermiticity.  States are checked once, by
-``states.validate_state``, and trusted afterwards, without a second scan.
-Dimensions of a few hundred are the intended operating range.
+``states.validate_state``; the word path then multiplies them unscanned with
+:func:`product_trace`.  Dimensions of a few hundred are the intended range.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "chain_product_trace",
     "hermitian_eig",
     "hs_norm_sq",
+    "product_trace",
 ]
 
 
@@ -76,7 +77,11 @@ def chain_product_trace(matrices: Sequence[np.ndarray]) -> complex:
     complex
         ``tr(M1 M2 ... Mk)``.
     """
-    ms = [as_complex_matrix(m) for m in matrices]
+    return product_trace([as_complex_matrix(m) for m in matrices])
+
+
+def product_trace(ms: Sequence[np.ndarray]) -> complex:
+    """:func:`chain_product_trace` of square, finite matrices, not scanned."""
     if not ms:
         raise ValueError("chain_product_trace requires at least one matrix")
     dim = ms[0].shape[0]
@@ -113,11 +118,14 @@ class EigenSystem:
         Real eigenvalues, ascending.
     eigenvectors : np.ndarray
         Unitary matrix whose columns are the matching orthonormal
-        eigenvectors, so ``V @ diag(w) @ V†`` reconstructs the input.
+        eigenvectors, so ``V @ diag(w) @ V†`` reconstructs ``matrix``.
+    matrix : np.ndarray
+        The decomposed Hermitian part ``(A + A†)/2`` of the input ``A``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    matrix: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -151,4 +159,4 @@ def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-12) -> EigenSystem:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"Hermitian eigensolver failed to converge: {exc}") from exc
-    return EigenSystem(eigenvalues=w, eigenvectors=v)
+    return EigenSystem(eigenvalues=w, eigenvectors=v, matrix=sym)

@@ -63,7 +63,8 @@ class PositiveOperator:
     Attributes
     ----------
     matrix : np.ndarray
-        The ``(d, d)`` complex matrix.
+        The certified ``(d, d)`` matrix: the Hermitian part ``(A + A†)/2``
+        of the input ``A``, which ``eigenvalues`` diagonalize.
     trace : float
         Real trace (strictly positive).
     normalized : bool
@@ -108,8 +109,8 @@ def validate_state(
     -------
     PositiveOperator
     """
-    m = np.asarray(matrix, dtype=np.complex128)
-    eig = hermitian_eig(m, herm_tol=herm_tol)
+    eig = hermitian_eig(matrix, herm_tol=herm_tol)
+    m = eig.matrix
     lo = float(eig.eigenvalues[0])
     if lo < -psd_tol:
         raise PositivityError(
@@ -128,11 +129,12 @@ def validate_state(
 
 
 def as_matrix(op: "PositiveOperator | np.ndarray") -> np.ndarray:
-    """Matrix of a :class:`PositiveOperator` as it is, or a raw array checked to
-    be square, finite and Hermitian to ``HERM_TOL``."""
+    """Matrix of a :class:`PositiveOperator` as it is, or the Hermitian part
+    of a raw array checked to be square, finite and Hermitian to ``HERM_TOL``."""
     if isinstance(op, PositiveOperator):
         return op.matrix
-    return as_hermitian_matrix(op, HERM_TOL)
+    m = as_hermitian_matrix(op, HERM_TOL)
+    return (m + m.conj().T) / 2.0
 
 
 def purity(rho: PositiveOperator) -> float:
@@ -254,13 +256,7 @@ def bloch_map(rho: PositiveOperator, convention: str = "pauli") -> BlochVector:
     if convention == "pauli":
         if d != 2:
             raise ShapeError(f"pauli convention requires dimension 2, got {d}")
-        r = np.array(
-            [
-                np.trace(m @ PAULI_X).real,
-                np.trace(m @ PAULI_Y).real,
-                np.trace(m @ PAULI_Z).real,
-            ]
-        )
+        r = np.array([np.trace(m @ p).real for p in (PAULI_X, PAULI_Y, PAULI_Z)])
         return BlochVector(dim=2, components=r, convention="pauli")
     if convention == "orthonormal":
         basis = traceless_hermitian_basis(d)

@@ -158,6 +158,19 @@ def test_random_commuting_then_coherence(tmp_path):
     assert main(["coherence", str(out)]) == 0
 
 
+def test_dim1_states_commute_at_zero_tolerance(tmp_path, capsys):
+    # 1x1 states always commute; a stored rounding residue such as 1+4.7e-18j
+    # would give them a positive gap
+    path = str(tmp_path / "dim1.json")
+    argv = ["random", "--dim", "1", "--count", "3", "--ensemble", "haar_pure",
+            "--seed", "5", "--out", path]
+    assert main(argv) == 0
+    code, payload = run_json(capsys, ["coherence", path, "--tol", "0"])
+    assert code == 0
+    assert payload["verdict"] == "set_incoherent"
+    assert all(p["gap"] == 0.0 for p in payload["pairs"])
+
+
 def test_qubit_check_command(fixture_file, capsys):
     code, payload = run_json(capsys, ["qubit-check", fixture_file("trine")])
     assert code == 1

@@ -17,6 +17,7 @@ from bargmann.criteria import (
     set_coherence_decide,
     winc_membership,
 )
+from bargmann.estimator import EstimatorConfig, estimate_gap
 from bargmann.exceptions import DegenerateReferenceError, HermiticityError, ShapeError
 from bargmann.fixtures import fixture
 from bargmann.invariants import bargmann_invariant
@@ -89,6 +90,13 @@ def test_commutator_gap_accepts_plain_hermitian():
     n = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [4.0, 0.0, 1.0]])
     with pytest.raises(HermiticityError):
         commutator_gap(n, n.T)
+    # a sub-tolerance anti-Hermitian residue is dropped, as for validated
+    # states: small operators do not fail the relative bound on Im tr(ABAB),
+    # and 1x1 operators commute exactly
+    residue = 4e-13j * np.eye(2)
+    small = commutator_gap(1e-6 * a + residue, 1e-6 * b)
+    assert small.gap == commutator_gap(1e-6 * a, 1e-6 * b).gap
+    assert commutator_gap([[1.0 + 4.7e-18j]], [[2.0]]).gap == 0.0
 
 
 def test_gap_equals_half_commutator_norm():
@@ -223,20 +231,27 @@ def test_decisions_do_not_rescan_validated_states(scan_calls):
     assert set_coherence_decide(states).verdict == SET_INCOHERENT
     assert reduced_set_coherence(states, 1).verdict == SET_INCOHERENT
     assert len(scan_calls) == 0
+    bargmann_invariant(states, (1, 2, 1, 2))
+    assert len(scan_calls) == 0
+    estimate_gap(states[:2], EstimatorConfig(shots_per_setting=100, seed=1))
+    assert len(scan_calls) == 0
 
 
 def test_scaled_commuting_sets_are_incoherent():
     # trace 100: the gap is computed as a norm, not as a difference of two
     # traces of order 1e5, so rounding neither flips the verdict nor makes it
-    # negative
-    for seed in (0, 1, 2, 3):
-        states = [
-            validate_state(100.0 * s.matrix)
-            for s in commuting_set(8, 10, np.random.default_rng(seed))
-        ]
-        report = set_coherence_decide(states)
-        assert report.verdict == SET_INCOHERENT
-        assert all(p.gap >= 0.0 for p in report.pairs)
+    # negative.  trace 1e4: the rounding residue in Im tr(ABAB) exceeds 1e-8
+    # but is judged against ||AB||_F^2, not on an absolute scale, so it raises
+    # no NumericInconsistencyError
+    for trace, dim in ((100.0, 8), (1e4, 8), (1e4, 32)):
+        for seed in (0, 1, 2, 3):
+            states = [
+                validate_state(trace * s.matrix)
+                for s in commuting_set(dim, 10, np.random.default_rng(seed))
+            ]
+            report = set_coherence_decide(states)
+            assert report.verdict == SET_INCOHERENT
+            assert all(p.gap >= 0.0 for p in report.pairs)
 
 
 # --------------------------------------------------------------------------
@@ -382,6 +397,44 @@ def test_gram_rank_criterion_collinear():
     assert rep.rank == 1
     assert rep.condition_ok
     assert rep.verdict == SET_INCOHERENT
+
+
+def test_gram_bloch_matches_bloch_vectors():
+    # G = c (Z - t t^T / d) equals the Gram of the bloch_map vectors, also
+    # for traces other than 1
+    rng = np.random.default_rng(49)
+    for d in (2, 3, 5, 8):
+        conventions = ("pauli", "orthonormal") if d == 2 else ("orthonormal",)
+        states = [random_state(d, "ginibre_mixed", rng) for _ in range(3)]
+        states += commuting_set(d, 2, rng) + [pure_state(rng.standard_normal(d))]
+        states = [
+            validate_state(scale * s.matrix)
+            for s, scale in zip(states, (1.0, 0.3, 2.5, 1.0, 7.0, 0.05))
+        ]
+        for convention in conventions:
+            r = np.array([bloch_map(s, convention).components for s in states])
+            np.testing.assert_allclose(
+                gram_bloch(states, convention), r @ r.T, rtol=0, atol=1e-12
+            )
+    with pytest.raises(ShapeError):
+        gram_bloch([maximally_mixed(3)], "pauli")
+    with pytest.raises(ValueError):
+        gram_bloch([maximally_mixed(2)], "no_such_convention")
+
+
+def test_gram_rank_criterion_builds_no_bloch_vector(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Bloch basis built")
+
+    monkeypatch.setattr("bargmann.states.bloch_map", refuse)
+    monkeypatch.setattr("bargmann.states.traceless_hermitian_basis", refuse)
+    rng = np.random.default_rng(50)
+    states = commuting_set(64, 3, rng) + [random_state(64, "ginibre_mixed", rng)]
+    rep = gram_rank_criterion(states)
+    assert rep.dimension == 64
+    assert rep.rank == 4
+    assert rep.condition_ok
+    assert rep.verdict is None
 
 
 def test_gram_rank_report_carries_its_matrix():

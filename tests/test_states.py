@@ -57,6 +57,20 @@ def test_validate_state_scans_once(scan_calls):
     assert len(scan_calls) == 1
 
 
+def test_validate_state_stores_hermitian_part():
+    # a sub-tolerance anti-Hermitian residue is not kept: the stored matrix is
+    # exactly the Hermitian part that was diagonalized
+    base = np.array([[0.5, 0.1 - 0.2j], [0.1 + 0.2j, 0.5]])
+    residue = np.array([[3e-13j, 2e-13], [-2e-13, -1e-13j]])
+    a = base + residue
+    op = validate_state(a)
+    np.testing.assert_array_equal(op.matrix, (a + a.conj().T) / 2)
+    np.testing.assert_array_equal(op.matrix, op.matrix.conj().T)
+    dim1 = validate_state(np.array([[1.0 + 4.7e-18j]]))
+    assert dim1.matrix[0, 0] == 1.0
+    assert dim1.matrix[0, 0].imag == 0.0
+
+
 def test_purity():
     assert purity(pure_state([1, 1j])) == pytest.approx(1.0, abs=1e-12)
     assert purity(maximally_mixed(2)) == pytest.approx(0.5)
