@@ -67,8 +67,8 @@ __all__ = [
 # squared Hilbert-Schmidt norm of the commutator, and states have trace <= 1.
 COMMUTE_TOL = 1e-10
 FACET_TOL = 1e-9
-# tr(ABAB) is real for Hermitian A, B and bounded by ||AB||_F^2 (Cauchy-Schwarz);
-# an imaginary part above IM_ERROR_TOL times that bound is not rounding.
+# tr(ABAB) is real for Hermitian A, B; an imaginary part above IM_ERROR_TOL
+# ||A||_F^2 ||B||_F^2 (>= ||AB||_F^2 >= |tr(ABAB)|) is not rounding.
 IM_ERROR_TOL = 1e-8
 
 SET_INCOHERENT = "set_incoherent"
@@ -143,7 +143,7 @@ def commutator_gap(
     ``gap = 1/2 ||M - M†||_F^2``; the pair commutes iff the two traces agree,
     i.e. iff the gap vanishes.  Positivity of the inputs is not required: the
     identity holds for arbitrary Hermitian operators.  |Im tr(ABAB)| above
-    ``IM_ERROR_TOL * ||M||_F^2`` raises :class:`NumericInconsistencyError`.
+    ``IM_ERROR_TOL ||A||_F^2 ||B||_F^2`` raises :class:`NumericInconsistencyError`.
 
     Parameters
     ----------
@@ -164,7 +164,10 @@ def commutator_gap(
     gap = 0.5 * float(np.vdot(c, c).real)
     llkk = float(np.vdot(m, m).real)
     lklk = complex(np.vdot(m_h, m))  # vdot conjugates m_h back: sum_ij M_ji M_ij
-    if abs(lklk.imag) > IM_ERROR_TOL * llkk:
+    # Rounding in M scales with ||A||_F ||B||_F even where M cancels (orthogonal
+    # A, B); as llkk <= ||A||_F^2 ||B||_F^2, the norms are needed only past llkk.
+    im = abs(lklk.imag)
+    if im > IM_ERROR_TOL * llkk and im > IM_ERROR_TOL * np.vdot(a, a).real * np.vdot(b, b).real:
         raise NumericInconsistencyError(
             f"tr(ABAB) should be real, found imaginary part {lklk.imag:.3e}"
         )

@@ -134,7 +134,13 @@ def _sample(word: Word, exact: complex, config: EstimatorConfig) -> EstimateResu
             exact.imag, shots, _component_stream(config, word, _IM_SETTING)
         )
         used = 2 * shots
-    return EstimateResult(word, complex(re_est, im_est), re_err, im_err, used)
+    return EstimateResult(
+        word=word,
+        estimate=complex(re_est, im_est),
+        stderr_re=re_err,
+        stderr_im=im_err,
+        shots_used=used,
+    )
 
 
 @dataclass(frozen=True)

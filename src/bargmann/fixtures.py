@@ -275,15 +275,10 @@ def _compute_quantity(fix: Fixture, quantity: str):
         return overlap(states[l - 1], states[k - 1])
     if quantity.startswith("purity_"):
         return purity(states[int(quantity.removeprefix("purity_")) - 1])
-    if quantity == "facet_value":
-        z12 = overlap(states[0], states[1])
-        z13 = overlap(states[0], states[2])
-        z23 = overlap(states[1], states[2])
-        return z12 + z13 - z23
-    if quantity == "facet_member":
-        z12 = overlap(states[0], states[1])
-        z13 = overlap(states[0], states[2])
-        z23 = overlap(states[1], states[2])
+    if quantity in ("facet_value", "facet_member"):
+        z12, z13, z23 = (overlap(states[l], states[k]) for l, k in ((0, 1), (0, 2), (1, 2)))
+        if quantity == "facet_value":
+            return z12 + z13 - z23
         return c3_facet_check(z12, z13, z23).member
     if quantity == "gram_eigenvalues_embedded_c4":
         embedded = [embed(s, 4) for s in states]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import WordError
-from .numkernel import product_trace
+from .numkernel import _product_trace
 from .states import PositiveOperator, as_matrix
 
 __all__ = [
@@ -108,7 +108,7 @@ def bargmann_invariant(states: list[PositiveOperator], word: Word) -> complex:
     For normalized states the modulus never exceeds 1 (up to rounding).
     """
     w = check_word(word, n_states=len(states))
-    return product_trace([as_matrix(states[letter - 1]) for letter in w])
+    return _product_trace([as_matrix(states[letter - 1]) for letter in w])
 
 
 def evaluate_scenario(

@@ -1,10 +1,10 @@
 """Dense complex matrix kernel: chained trace products, norms, Hermitian eigensystems.
 
 Matrices are plain ``numpy`` arrays of ``complex128`` (row-major).  Every entry
-point but :func:`product_trace` checks raw arrays' shape and finiteness, and
-:func:`hermitian_eig` also their Hermiticity.  States are checked once, by
-``states.validate_state``; the word path then multiplies them unscanned with
-:func:`product_trace`.  Dimensions of a few hundred are the intended range.
+point checks raw arrays' shape and finiteness, and :func:`hermitian_eig` also
+their Hermiticity.  States are checked once, by ``states.validate_state``; the
+word path then multiplies them unscanned through :func:`chain_product_trace`'s
+product loop.  Dimensions of a few hundred are the intended operating range.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "chain_product_trace",
     "hermitian_eig",
     "hs_norm_sq",
-    "product_trace",
 ]
 
 
@@ -51,14 +50,15 @@ def as_complex_matrix(a: "np.ndarray | Iterable") -> np.ndarray:
 
 
 def as_hermitian_matrix(a: "np.ndarray | Iterable", herm_tol: float) -> np.ndarray:
-    """:func:`as_complex_matrix`, then require ``max |A - A†| <= herm_tol`` entrywise."""
+    """:func:`as_complex_matrix`, require ``max |A - A†| <= herm_tol`` entrywise,
+    and return the exactly Hermitian part ``(A + A†)/2``."""
     m = as_complex_matrix(a)
     dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > herm_tol:
         raise HermiticityError(
             f"matrix is not Hermitian: max |A - A†| = {dev:.3e} > {herm_tol:.3e}"
         )
-    return m
+    return (m + m.conj().T) / 2.0
 
 
 def chain_product_trace(matrices: Sequence[np.ndarray]) -> complex:
@@ -77,21 +77,19 @@ def chain_product_trace(matrices: Sequence[np.ndarray]) -> complex:
     complex
         ``tr(M1 M2 ... Mk)``.
     """
-    return product_trace([as_complex_matrix(m) for m in matrices])
+    return _product_trace([as_complex_matrix(m) for m in matrices])
 
 
-def product_trace(ms: Sequence[np.ndarray]) -> complex:
+def _product_trace(ms: Sequence[np.ndarray]) -> complex:
     """:func:`chain_product_trace` of square, finite matrices, not scanned."""
     if not ms:
         raise ValueError("chain_product_trace requires at least one matrix")
-    dim = ms[0].shape[0]
-    for i, m in enumerate(ms[1:], start=2):
-        if m.shape[0] != dim:
-            raise ShapeError(
-                f"matrix {i} has dimension {m.shape[0]}, expected {dim}"
-            )
     acc = ms[0]
-    for m in ms[1:]:
+    for i, m in enumerate(ms[1:], start=2):
+        if m.shape[0] != acc.shape[0]:
+            raise ShapeError(
+                f"matrix {i} has dimension {m.shape[0]}, expected {acc.shape[0]}"
+            )
         acc = acc @ m
     value = complex(np.trace(acc))
     if not (np.isfinite(value.real) and np.isfinite(value.imag)):
@@ -152,9 +150,7 @@ def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-12) -> EigenSystem:
     EigenSystem
         Ascending eigenvalues with orthonormal eigenvector columns.
     """
-    m = as_hermitian_matrix(a, herm_tol)
-    # Symmetrize the sub-tolerance residue so eigh sees an exactly Hermitian input.
-    sym = (m + m.conj().T) / 2.0
+    sym = as_hermitian_matrix(a, herm_tol)
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

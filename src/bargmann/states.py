@@ -133,8 +133,7 @@ def as_matrix(op: "PositiveOperator | np.ndarray") -> np.ndarray:
     of a raw array checked to be square, finite and Hermitian to ``HERM_TOL``."""
     if isinstance(op, PositiveOperator):
         return op.matrix
-    m = as_hermitian_matrix(op, HERM_TOL)
-    return (m + m.conj().T) / 2.0
+    return as_hermitian_matrix(op, HERM_TOL)
 
 
 def purity(rho: PositiveOperator) -> float:
@@ -256,7 +255,13 @@ def bloch_map(rho: PositiveOperator, convention: str = "pauli") -> BlochVector:
     if convention == "pauli":
         if d != 2:
             raise ShapeError(f"pauli convention requires dimension 2, got {d}")
-        r = np.array([np.trace(m @ p).real for p in (PAULI_X, PAULI_Y, PAULI_Z)])
+        r = np.array(
+            [
+                np.trace(m @ PAULI_X).real,
+                np.trace(m @ PAULI_Y).real,
+                np.trace(m @ PAULI_Z).real,
+            ]
+        )
         return BlochVector(dim=2, components=r, convention="pauli")
     if convention == "orthonormal":
         basis = traceless_hermitian_basis(d)
@@ -305,10 +310,7 @@ def spectral_profile(rho: PositiveOperator, gap_tol: float = GAP_TOL) -> Spectra
     ``gap_tol``; dimension-1 states are trivially non-degenerate.
     """
     w = rho.eigenvalues
-    if w.shape[0] < 2:
-        return SpectralProfile(eigenvalues=w, min_gap=np.inf, non_degenerate=True)
-    gaps = np.diff(w)
-    min_gap = float(np.min(gaps))
+    min_gap = float(np.min(np.diff(w))) if w.shape[0] > 1 else np.inf
     return SpectralProfile(
         eigenvalues=w,
         min_gap=min_gap,

@@ -18,11 +18,17 @@ from bargmann.criteria import (
     winc_membership,
 )
 from bargmann.estimator import EstimatorConfig, estimate_gap
-from bargmann.exceptions import DegenerateReferenceError, HermiticityError, ShapeError
+from bargmann.exceptions import (
+    DegenerateReferenceError,
+    HermiticityError,
+    NumericInconsistencyError,
+    ShapeError,
+)
 from bargmann.fixtures import fixture
 from bargmann.invariants import bargmann_invariant
 from bargmann.numkernel import hs_norm_sq
 from bargmann.states import (
+    PositiveOperator,
     bloch_map,
     commuting_set,
     haar_unitary,
@@ -241,8 +247,8 @@ def test_scaled_commuting_sets_are_incoherent():
     # trace 100: the gap is computed as a norm, not as a difference of two
     # traces of order 1e5, so rounding neither flips the verdict nor makes it
     # negative.  trace 1e4: the rounding residue in Im tr(ABAB) exceeds 1e-8
-    # but is judged against ||AB||_F^2, not on an absolute scale, so it raises
-    # no NumericInconsistencyError
+    # but is judged against ||A||_F^2 ||B||_F^2, not on an absolute scale, so
+    # it raises no NumericInconsistencyError
     for trace, dim in ((100.0, 8), (1e4, 8), (1e4, 32)):
         for seed in (0, 1, 2, 3):
             states = [
@@ -252,6 +258,30 @@ def test_scaled_commuting_sets_are_incoherent():
             report = set_coherence_decide(states)
             assert report.verdict == SET_INCOHERENT
             assert all(p.gap >= 0.0 for p in report.pairs)
+
+
+def test_orthogonal_pure_states_commute():
+    # AB of orthogonal projectors cancels to rounding noise, whose tr(ABAB)
+    # has an imaginary part of the order of ||AB||_F^2 itself; judged against
+    # ||A||_F^2 ||B||_F^2 it is rounding, and the pair commutes
+    cfg = EstimatorConfig(shots_per_setting=100, seed=1)
+    for d in range(2, 9):
+        u = haar_unitary(d, np.random.default_rng(60 + d))
+        states = [pure_state(u[:, k]) for k in range(d)]
+        for k in range(1, d):
+            assert commutator_gap(states[0], states[k]).commutes
+            estimate_gap([states[0], states[k]], cfg)
+        assert set_coherence_decide(states).verdict == SET_INCOHERENT
+    # a non-Hermitian matrix that skipped validation still raises
+    skipped = PositiveOperator(
+        matrix=np.diag([1.0, 1.0j]),
+        trace=1.0,
+        normalized=False,
+        psd_slack=0.0,
+        eigenvalues=np.ones(2),
+    )
+    with pytest.raises(NumericInconsistencyError):
+        commutator_gap(skipped, pure_state([1, 1]))
 
 
 # --------------------------------------------------------------------------

@@ -113,9 +113,12 @@ def test_hermitian_eig_rejects_non_hermitian():
 def test_as_hermitian_matrix():
     m = as_hermitian_matrix([[1, 1j], [-1j, 2]], 1e-12)
     assert m.dtype == np.complex128
-    # the check is entrywise against the given tolerance
+    # the check is entrywise against the given tolerance, and what passes is
+    # returned as its exactly Hermitian part
     near = np.array([[1, 1e-9], [0, 1]], dtype=complex)
-    assert as_hermitian_matrix(near, 1e-8) is near
+    np.testing.assert_array_equal(
+        as_hermitian_matrix(near, 1e-8), (near + near.conj().T) / 2
+    )
     with pytest.raises(HermiticityError):
         as_hermitian_matrix(near, 1e-12)
     with pytest.raises(ShapeError):
