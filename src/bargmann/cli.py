@@ -128,6 +128,7 @@ def _random(args, _):
 def _qubit_check(args, ops):
     if ops[0].dim != 2:
         raise BargmannError(f"qubit-check requires dimension 2, got {ops[0].dim}")
+    states.require_normalized(ops, f"{args.command} requires normalized states")
     pairs = []
     all_commute = True
     for l, k in itertools.combinations(range(len(ops)), 2):
@@ -150,6 +151,7 @@ def _gram(args, ops):
 
 def _facets(args, ops):
     a, b, c = _trio(args, ops)
+    states.require_normalized(ops, f"{args.command} requires normalized states")
     report = criteria.c3_facet_check(
         states.overlap(a, b), states.overlap(a, c), states.overlap(b, c), tol=args.tol
     )

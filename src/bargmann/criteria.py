@@ -343,7 +343,10 @@ def gram_bloch(states: list[PositiveOperator], convention: str) -> np.ndarray:
     c = 2 for ``pauli``, as rho = (tr rho I + <r, P>)/2.  No Bloch vector is
     built: O(n^2 d^2) time and O(n d^2) memory in any dimension.
     """
-    x = np.stack([as_matrix(s) for s in states])
+    mats = [as_matrix(s) for s in states]
+    if len({m.shape for m in mats}) > 1:
+        raise ShapeError(f"dimension mismatch: {[m.shape[0] for m in mats]}")
+    x = np.stack(mats)
     n, d = x.shape[:2]
     c = {"pauli": 2.0, "orthonormal": 1.0}.get(convention)
     if c is None:

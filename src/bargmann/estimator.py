@@ -18,9 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .criteria import commutator_gap
-from .exceptions import NormalizationError
 from .invariants import Word, bargmann_invariant, check_word, word_text
-from .states import PositiveOperator
+from .states import PositiveOperator, require_normalized
 
 __all__ = [
     "SETTINGS",
@@ -98,13 +97,7 @@ def _sample_component(
     return x, float(stderr)
 
 
-def _require_normalized(states: list[PositiveOperator]) -> None:
-    for i, s in enumerate(states, start=1):
-        if not s.normalized:
-            raise NormalizationError(
-                f"state {i} has trace {s.trace!r}; estimation requires "
-                "normalized states so expectations stay in [-1, 1]"
-            )
+_NORMALIZED_REASON = "estimation requires normalized states so expectations stay in [-1, 1]"
 
 
 def estimate_invariant(
@@ -118,7 +111,7 @@ def estimate_invariant(
     unbiased ``2 * successes/shots - 1``.
     """
     w = check_word(word, n_states=len(states))
-    _require_normalized(states)
+    require_normalized(states, _NORMALIZED_REASON)
     return _sample(w, bargmann_invariant(states, w), config)
 
 
@@ -173,7 +166,7 @@ def estimate_gap(
     """
     if len(states) != 2:
         raise ValueError(f"estimate_gap needs exactly 2 states, got {len(states)}")
-    _require_normalized(states)
+    require_normalized(states, _NORMALIZED_REASON)
     pair = commutator_gap(*states)
     real_cfg = replace(config, settings="real_only")
     est_1122 = _sample((1, 1, 2, 2), pair.delta_llkk, real_cfg)

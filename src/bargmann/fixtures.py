@@ -11,9 +11,11 @@ library operations and is the package's end-to-end self-test.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .criteria import (
     gram_rank_criterion,
     set_coherence_decide,
 )
-from .invariants import bargmann_invariant
+from .invariants import bargmann_invariant, scenario_catalog
 from .states import (
     PositiveOperator,
     embed,
@@ -53,14 +55,61 @@ def _c(re_text: str, im_text: str) -> complex:
     return complex(_f(re_text), _f(im_text))
 
 
+class Check(NamedTuple):
+    """One fixture quantity: how to compute it from the states, and its value."""
+
+    compute: Callable[[list], object]
+    expected: object
+    tol: float = 1e-12
+
+
 @dataclass(frozen=True)
 class Fixture:
     """A named state collection plus the values it must reproduce."""
 
     name: str
     states: tuple[PositiveOperator, ...]
-    expected: dict
+    expected: dict[str, Check]
     source: str
+
+
+def _expect(*rows) -> dict[str, Check]:
+    """``{name: Check}`` from ``((name, compute), expected[, tol])`` rows."""
+    return {name: Check(compute, *rest) for (name, compute), *rest in rows}
+
+
+# Each row helper writes a quantity's name and its computation from the same
+# arguments; labels are 1-based, as in the quantity names.
+def _delta(*word: int):
+    return f"delta_{''.join(map(str, word))}", lambda s: bargmann_invariant(s, word)
+
+
+def _overlap(l: int, k: int):
+    return f"overlap_{l}{k}", lambda s: overlap(s[l - 1], s[k - 1])
+
+
+def _purity(l: int):
+    return f"purity_{l}", lambda s: purity(s[l - 1])
+
+
+def _c3_overlaps(s) -> tuple[float, float, float]:
+    return overlap(s[0], s[1]), overlap(s[0], s[2]), overlap(s[1], s[2])
+
+
+def _facet_value(s) -> float:
+    z12, z13, z23 = _c3_overlaps(s)
+    return z12 + z13 - z23
+
+
+_GAP = "gap", lambda s: commutator_gap(s[0], s[1]).gap
+_VERDICT = "verdict", lambda s: set_coherence_decide(s).verdict
+_FACET_VALUE = "facet_value", _facet_value
+_FACET_MEMBER = "facet_member", lambda s: c3_facet_check(*_c3_overlaps(s)).member
+_GRAM_MATRIX = "gram_matrix", lambda s: gram_bloch(s, "orthonormal")
+_GRAM_RANK = "gram_rank", lambda s: gram_rank_criterion(s).rank
+_GRAM_EIGENVALUES_C4 = "gram_eigenvalues_embedded_c4", lambda s: gram_rank_criterion(
+    [embed(rho, 4) for rho in s], convention="orthonormal"
+).eigenvalues
 
 
 def _basis_ket(dim: int, index: int) -> np.ndarray:
@@ -75,18 +124,17 @@ def _mub_trio() -> Fixture:
         pure_state([1, 1]),
         pure_state([1, 1j]),
     )
-    expected = {
-        "delta_123": _c("1/4", "1/4"),
-        "overlap_12": _f("1/2"),
-        "overlap_13": _f("1/2"),
-        "overlap_23": _f("1/2"),
-        "gram_eigenvalues_embedded_c4": (_f("1/2"), _f("1/2"), _f("5/4")),
-        "verdict": "set_coherent",
-    }
     return Fixture(
         name="mub_trio",
         states=states,
-        expected=expected,
+        expected=_expect(
+            (_delta(1, 2, 3), _c("1/4", "1/4")),
+            (_overlap(1, 2), _f("1/2")),
+            (_overlap(1, 3), _f("1/2")),
+            (_overlap(2, 3), _f("1/2")),
+            (_GRAM_EIGENVALUES_C4, (_f("1/2"), _f("1/2"), _f("5/4")), 1e-10),
+            (_VERDICT, "set_coherent"),
+        ),
         source="pure qubit trio |0>, |+>, |+i>, one state from each mutually unbiased basis",
     )
 
@@ -96,7 +144,7 @@ def _main_sigma_trio() -> Fixture:
     return Fixture(
         name="main_sigma_trio",
         states=states,
-        expected={"delta_123": _c("0", "0"), "verdict": "set_incoherent"},
+        expected=_expect((_delta(1, 2, 3), _c("0", "0")), (_VERDICT, "set_incoherent")),
         source="computational-basis projectors |0>, |2>, |4> in dimension 5",
     )
 
@@ -111,7 +159,7 @@ def _main_sigma_prime_trio() -> Fixture:
     return Fixture(
         name="main_sigma_prime_trio",
         states=states,
-        expected={"delta_123": _c("0", "0"), "verdict": "set_coherent"},
+        expected=_expect((_delta(1, 2, 3), _c("0", "0")), (_VERDICT, "set_coherent")),
         source="projectors |0>, |+>, |2> in dimension 3",
     )
 
@@ -123,19 +171,18 @@ def _trine() -> Fixture:
         qubit_from_bloch((0.5, half_rt3, 0.0)),
         qubit_from_bloch((0.5, -half_rt3, 0.0)),
     )
-    expected = {
-        "overlap_12": _f("3/4"),
-        "overlap_13": _f("3/4"),
-        "overlap_23": _f("1/4"),
-        "facet_value": _f("5/4"),
-        "facet_member": False,
-        "delta_123": _c("3/8", "0"),
-        "verdict": "set_coherent",
-    }
     return Fixture(
         name="trine",
         states=states,
-        expected=expected,
+        expected=_expect(
+            (_overlap(1, 2), _f("3/4")),
+            (_overlap(1, 3), _f("3/4")),
+            (_overlap(2, 3), _f("1/4")),
+            (_FACET_VALUE, _f("5/4")),
+            (_FACET_MEMBER, False),
+            (_delta(1, 2, 3), _c("3/8", "0")),
+            (_VERDICT, "set_coherent"),
+        ),
         source="planar qubit trine: Bloch vectors at 120 degrees on a great circle",
     )
 
@@ -154,31 +201,35 @@ def _c4_quartet() -> Fixture:
         rank2(kets[0], kets[3]),
         rank2(a, b),
     )
-    expected = {
-        "purity_1": _f("1/2"),
-        "purity_2": _f("1/2"),
-        "purity_3": _f("1/2"),
-        "purity_4": _f("1/2"),
-        "overlap_12": _f("1/4"),
-        "overlap_13": _f("1/4"),
-        "overlap_14": _f("1/4"),
-        "overlap_23": _f("1/4"),
-        "overlap_24": _f("1/4"),
-        "overlap_34": _f("1/4"),
-        "delta_123": _c("1/8", "0"),
-        "delta_124": _c("1/16", "0"),
-        "delta_134": _c("1/16", "0"),
-        "delta_234": _c("1/16", "0"),
-        "delta_1234": _c("1/32", "0"),
-        "gram_matrix": np.eye(4) / 4,
-        "gram_rank": 4,
-        "verdict": "set_coherent",
-    }
     return Fixture(
         name="c4_quartet",
         states=states,
-        expected=expected,
+        expected=_expect(
+            *((_purity(l), _f("1/2")) for l in range(1, 5)),
+            *((_overlap(l, k), _f("1/4")) for l, k in itertools.combinations(range(1, 5), 2)),
+            (_delta(1, 2, 3), _c("1/8", "0")),
+            (_delta(1, 2, 4), _c("1/16", "0")),
+            (_delta(1, 3, 4), _c("1/16", "0")),
+            (_delta(2, 3, 4), _c("1/16", "0")),
+            (_delta(1, 2, 3, 4), _c("1/32", "0")),
+            (_GRAM_MATRIX, np.eye(4) / 4),
+            (_GRAM_RANK, 4),
+            (_VERDICT, "set_coherent"),
+        ),
         source="four rank-2 mixed states in dimension 4 with uniform purities and overlaps",
+    )
+
+
+# The seven w23 invariants, in scenario order, on which the two emc pairs agree.
+_EMC_W23 = ("13/32", "23/128", "137/450", "31/300", "67/240", "223/1920", "653/7200")
+
+
+def _emc_expected(gap: str, verdict: str) -> dict[str, Check]:
+    words = scenario_catalog("w23").words
+    return _expect(
+        (_GAP, _f(gap)),
+        *((_delta(*word), _f(value)) for word, value in zip(words, _EMC_W23)),
+        (_VERDICT, verdict),
     )
 
 
@@ -191,21 +242,10 @@ def _emc_rho_pair() -> Fixture:
     flip[0, 2] = flip[2, 0] = flip[1, 3] = flip[3, 1] = 1.0
     rho2 = np.diag([4 / 15, 1 / 3, 1 / 6, 7 / 30]).astype(complex) + flip / 10
     states = (_emc_first_state(), validate_state(rho2))
-    expected = {
-        "gap": _f("9/3200"),
-        "delta_11": _f("13/32"),
-        "delta_111": _f("23/128"),
-        "delta_22": _f("137/450"),
-        "delta_222": _f("31/300"),
-        "delta_12": _f("67/240"),
-        "delta_112": _f("223/1920"),
-        "delta_122": _f("653/7200"),
-        "verdict": "set_coherent",
-    }
     return Fixture(
         name="emc_rho_pair",
         states=states,
-        expected=expected,
+        expected=_emc_expected("9/3200", "set_coherent"),
         source="noncommuting dimension-4 pair whose 2- and 3-letter invariants all "
         "match a commuting pair (emc_sigma_pair)",
     )
@@ -214,21 +254,10 @@ def _emc_rho_pair() -> Fixture:
 def _emc_sigma_pair() -> Fixture:
     sigma2 = np.diag([11 / 30, 2 / 15, 11 / 30, 2 / 15]).astype(complex)
     states = (_emc_first_state(), validate_state(sigma2))
-    expected = {
-        "gap": _f("0"),
-        "delta_11": _f("13/32"),
-        "delta_111": _f("23/128"),
-        "delta_22": _f("137/450"),
-        "delta_222": _f("31/300"),
-        "delta_12": _f("67/240"),
-        "delta_112": _f("223/1920"),
-        "delta_122": _f("653/7200"),
-        "verdict": "set_incoherent",
-    }
     return Fixture(
         name="emc_sigma_pair",
         states=states,
-        expected=expected,
+        expected=_emc_expected("0", "set_incoherent"),
         source="commuting diagonal dimension-4 pair matching emc_rho_pair on all "
         "2- and 3-letter invariants",
     )
@@ -260,36 +289,6 @@ def fixture(name: str) -> Fixture:
 # --------------------------------------------------------------------------
 # Self-check
 # --------------------------------------------------------------------------
-
-def _compute_quantity(fix: Fixture, quantity: str):
-    states = list(fix.states)
-    if quantity == "gap":
-        return commutator_gap(states[0], states[1]).gap
-    if quantity == "verdict":
-        return set_coherence_decide(states).verdict
-    if quantity.startswith("delta_"):
-        word = tuple(int(ch) for ch in quantity.removeprefix("delta_"))
-        return bargmann_invariant(states, word)
-    if quantity.startswith("overlap_"):
-        l, k = (int(ch) for ch in quantity.removeprefix("overlap_"))
-        return overlap(states[l - 1], states[k - 1])
-    if quantity.startswith("purity_"):
-        return purity(states[int(quantity.removeprefix("purity_")) - 1])
-    if quantity in ("facet_value", "facet_member"):
-        z12, z13, z23 = (overlap(states[l], states[k]) for l, k in ((0, 1), (0, 2), (1, 2)))
-        if quantity == "facet_value":
-            return z12 + z13 - z23
-        return c3_facet_check(z12, z13, z23).member
-    if quantity == "gram_eigenvalues_embedded_c4":
-        embedded = [embed(s, 4) for s in states]
-        w = np.linalg.eigvalsh(gram_bloch(embedded, "orthonormal"))
-        return tuple(float(x) for x in w)
-    if quantity == "gram_matrix":
-        return gram_bloch(states, "orthonormal")
-    if quantity == "gram_rank":
-        return gram_rank_criterion(states).rank
-    raise ValueError(f"fixture {fix.name!r} has no rule for quantity {quantity!r}")
-
 
 def _deviation(expected, computed) -> float:
     if isinstance(expected, str) or isinstance(expected, bool):
@@ -350,9 +349,9 @@ class PaperCheckReport:
 def paper_check(names: "list[str] | None" = None) -> PaperCheckReport:
     """Re-derive every fixture expectation and report deviations.
 
-    Numeric quantities must match within 1e-12 absolute (1e-10 for
-    eigenvalue lists); verdicts and flags must match exactly.  Failures are
-    recorded in the report rather than raised.
+    Numeric quantities must match within their check's ``tol``, 1e-12
+    absolute (1e-10 for eigenvalue lists); verdicts and flags must match
+    exactly.  Failures are recorded in the report rather than raised.
     """
     selected = FIXTURE_NAMES if names is None else tuple(names)
     for name in selected:
@@ -363,10 +362,9 @@ def paper_check(names: "list[str] | None" = None) -> PaperCheckReport:
     entries = []
     for name in selected:
         fix = fixture(name)
-        for quantity, expected in fix.expected.items():
-            computed = _compute_quantity(fix, quantity)
+        for quantity, (compute, expected, tol) in fix.expected.items():
+            computed = compute(list(fix.states))
             err = _deviation(expected, computed)
-            tol = 1e-10 if "eigenvalues" in quantity else 1e-12
             entries.append(
                 PaperCheckEntry(
                     fixture=name,

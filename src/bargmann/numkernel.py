@@ -17,6 +17,7 @@ import numpy as np
 from .exceptions import HermiticityError, NumericError, ShapeError
 
 __all__ = [
+    "HERM_TOL",
     "EigenSystem",
     "as_complex_matrix",
     "as_hermitian_matrix",
@@ -24,6 +25,10 @@ __all__ = [
     "hermitian_eig",
     "hs_norm_sq",
 ]
+
+# Largest entrywise |A - A†| tolerated: about ten times double-precision
+# accumulation error at the target dimensions (d <= a few hundred).
+HERM_TOL = 1e-12
 
 
 def as_complex_matrix(a: "np.ndarray | Iterable") -> np.ndarray:
@@ -125,32 +130,26 @@ class EigenSystem:
     eigenvectors: np.ndarray
     matrix: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return int(self.eigenvalues.shape[0])
-
     def reconstruct(self) -> np.ndarray:
         """Return ``V diag(w) V†``."""
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-12) -> EigenSystem:
+def hermitian_eig(a: np.ndarray) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix.
 
     Parameters
     ----------
     a : array_like
-        Square matrix; must satisfy ``max |A - A†| <= herm_tol`` entrywise.
-    herm_tol : float
-        Largest tolerated entrywise deviation from Hermiticity.
+        Square matrix; must satisfy ``max |A - A†| <= HERM_TOL`` entrywise.
 
     Returns
     -------
     EigenSystem
         Ascending eigenvalues with orthonormal eigenvector columns.
     """
-    sym = as_hermitian_matrix(a, herm_tol)
+    sym = as_hermitian_matrix(a, HERM_TOL)
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import PositivityError, ShapeError, TraceError
-from .numkernel import as_hermitian_matrix, hermitian_eig
+from .exceptions import NormalizationError, PositivityError, ShapeError, TraceError
+from .numkernel import HERM_TOL, as_hermitian_matrix, hermitian_eig
 
 __all__ = [
     "HERM_TOL",
@@ -28,6 +28,7 @@ __all__ = [
     "BlochVector",
     "SpectralProfile",
     "validate_state",
+    "require_normalized",
     "as_matrix",
     "purity",
     "overlap",
@@ -44,9 +45,8 @@ __all__ = [
     "ENSEMBLES",
 ]
 
-# Default tolerances: roughly an order of magnitude above double-precision
+# Tolerances: roughly an order of magnitude above double-precision
 # accumulation error at the target dimensions (d <= a few hundred).
-HERM_TOL = 1e-12
 PSD_TOL = 1e-10
 NORM_TOL = 1e-9
 GAP_TOL = 1e-8
@@ -68,7 +68,8 @@ class PositiveOperator:
     trace : float
         Real trace (strictly positive).
     normalized : bool
-        Whether ``|trace - 1| <= norm_tol`` held at validation.
+        Whether ``|trace - 1| <= NORM_TOL`` held at validation; operations
+        that need unit trace check it with :func:`require_normalized`.
     psd_slack : float
         Most negative eigenvalue found at validation (>= -psd_tol).
     eigenvalues : np.ndarray
@@ -86,30 +87,24 @@ class PositiveOperator:
         return int(self.matrix.shape[0])
 
 
-def validate_state(
-    matrix: np.ndarray,
-    norm_tol: float = NORM_TOL,
-    psd_tol: float = PSD_TOL,
-    herm_tol: float = HERM_TOL,
-) -> PositiveOperator:
+def validate_state(matrix: np.ndarray, psd_tol: float = PSD_TOL) -> PositiveOperator:
     """Validate a matrix as a (possibly unnormalized) quantum state.
+
+    Hermiticity is checked to ``HERM_TOL`` entrywise, and the state is
+    flagged ``normalized`` when ``|trace - 1| <= NORM_TOL``.
 
     Parameters
     ----------
     matrix : array_like
         Square complex matrix.
-    norm_tol : float
-        Tolerance on ``|trace - 1|`` for the ``normalized`` flag.
     psd_tol : float
         Eigenvalues below ``-psd_tol`` raise :class:`PositivityError`.
-    herm_tol : float
-        Entrywise Hermiticity tolerance.
 
     Returns
     -------
     PositiveOperator
     """
-    eig = hermitian_eig(matrix, herm_tol=herm_tol)
+    eig = hermitian_eig(matrix)
     m = eig.matrix
     lo = float(eig.eigenvalues[0])
     if lo < -psd_tol:
@@ -122,10 +117,18 @@ def validate_state(
     return PositiveOperator(
         matrix=m,
         trace=tr,
-        normalized=bool(abs(tr - 1.0) <= norm_tol),
+        normalized=bool(abs(tr - 1.0) <= NORM_TOL),
         psd_slack=lo,
         eigenvalues=eig.eigenvalues,
     )
+
+
+def require_normalized(states: Sequence[PositiveOperator], reason: str) -> None:
+    """Raise :class:`NormalizationError`, naming the first state (1-based) whose
+    trace is not 1 to ``NORM_TOL``, and ``reason``."""
+    for i, s in enumerate(states, start=1):
+        if not s.normalized:
+            raise NormalizationError(f"state {i} has trace {s.trace!r}; {reason}")
 
 
 def as_matrix(op: "PositiveOperator | np.ndarray") -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 from bargmann import io as bio
 from bargmann.cli import main
+from bargmann.exceptions import DocumentError
 from bargmann.fixtures import fixture
 from bargmann.states import purity, validate_state
 
@@ -208,6 +209,27 @@ def test_facets_command(fixture_file, capsys, tmp_path):
     assert main(["facets", str(pair)]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, diagonals",
+    [("qubit-check", [(2, 0), (0, 2)]), ("facets", [(1, 1, 0)] * 3)],
+    ids=["qubit-check", "facets"],
+)
+def test_unit_trace_commands_reject_other_traces(command, diagonals, tmp_path, capsys):
+    # Each document has trace-2 states; halved, they are valid unit-trace inputs
+    # (a commuting qubit pair, a trio inside the overlap polytope).
+    def write(name, scale):
+        path = tmp_path / f"{name}.json"
+        bio.save_state_set(path, [validate_state(scale * np.diag(d)) for d in diagonals])
+        return str(path)
+
+    assert main([command, write("unit", 0.5)]) == 0
+    capsys.readouterr()
+    assert main([command, write("trace2", 1.0)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: state 1 has trace 2.0; {command} requires normalized states\n"
+
+
 def test_imaginarity_command(fixture_file, capsys):
     code, payload = run_json(capsys, ["imaginarity", fixture_file("mub_trio")])
     assert code == 1
@@ -258,6 +280,39 @@ def test_document_validation(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+_HALF = validate_state(np.eye(2, dtype=complex) / 2)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: bio.matrix_from_json([[[1, 0], [0, 0]], [[0, 0]]], 2),
+         "row 1 must have 2 entries"),
+        (lambda: bio.matrix_from_json([[[1, 0], [0, 0, 0]], [[0, 0], [1, 0]]], 2),
+         "entry (0, 1) must be a [re, im] pair of numbers"),
+        (lambda: bio.matrix_from_json([[[1, 0], [0, 0]], [[0, 0], ["1", 0]]], 2),
+         "entry (1, 1) must be a [re, im] pair of numbers"),
+        (lambda: bio.state_set_from_document([{"dimension": 1}]),
+         "document must be a JSON object"),
+        (lambda: bio.state_set_from_document({"dimension": 1, "states": []}),
+         "'states' must be a nonempty array"),
+        (lambda: bio.state_set_from_document({"dimension": 1, "states": [{"label": "a"}]}),
+         "state 0 must be an object with 'label' and 'matrix'"),
+        (lambda: bio.state_set_to_document([]), "document needs at least one state"),
+        (lambda: bio.state_set_to_document([_HALF, _HALF], labels=["a"]),
+         "one label per state required"),
+        (lambda: bio.state_set_to_document([_HALF, _HALF], labels=["a", "a"]),
+         "labels must be unique"),
+    ],
+    ids=["ragged-row", "non-pair-entry", "string-entry", "non-object", "empty-states",
+         "no-matrix", "write-no-states", "write-label-count", "write-duplicate-labels"],
+)
+def test_document_error_messages(build, message):
+    with pytest.raises(DocumentError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_document_serialization_helpers():

@@ -450,6 +450,12 @@ def test_gram_bloch_matches_bloch_vectors():
         gram_bloch([maximally_mixed(3)], "pauli")
     with pytest.raises(ValueError):
         gram_bloch([maximally_mixed(2)], "no_such_convention")
+    # mixed dimensions are a typed error, not numpy's from stacking
+    mixed = [maximally_mixed(2), maximally_mixed(3), maximally_mixed(2)]
+    with pytest.raises(ShapeError, match=r"dimension mismatch: \[2, 3, 2\]"):
+        gram_bloch(mixed, "orthonormal")
+    with pytest.raises(ShapeError, match="dimension mismatch"):
+        gram_rank_criterion(mixed)
 
 
 def test_gram_rank_criterion_builds_no_bloch_vector(monkeypatch):

@@ -64,6 +64,73 @@ def test_paper_check_all_pass():
         assert entry.passed, (entry.fixture, entry.quantity, entry.abs_error)
 
 
+def _c(re, im=0.0):
+    return {"re": re, "im": im}
+
+
+def _emc_rows(fixture, gap, verdict):
+    return [
+        (fixture, "gap", gap),
+        (fixture, "delta_11", 13 / 32),
+        (fixture, "delta_111", 23 / 128),
+        (fixture, "delta_22", 137 / 450),
+        (fixture, "delta_222", 31 / 300),
+        (fixture, "delta_12", 67 / 240),
+        (fixture, "delta_112", 223 / 1920),
+        (fixture, "delta_122", 653 / 7200),
+        (fixture, "verdict", verdict),
+    ]
+
+
+PAPER_CHECK_ROWS = [
+    ("mub_trio", "delta_123", _c(0.25, 0.25)),
+    ("mub_trio", "overlap_12", 0.5),
+    ("mub_trio", "overlap_13", 0.5),
+    ("mub_trio", "overlap_23", 0.5),
+    ("mub_trio", "gram_eigenvalues_embedded_c4", [0.5, 0.5, 1.25]),
+    ("mub_trio", "verdict", "set_coherent"),
+    ("main_sigma_trio", "delta_123", _c(0.0)),
+    ("main_sigma_trio", "verdict", "set_incoherent"),
+    ("main_sigma_prime_trio", "delta_123", _c(0.0)),
+    ("main_sigma_prime_trio", "verdict", "set_coherent"),
+    ("trine", "overlap_12", 0.75),
+    ("trine", "overlap_13", 0.75),
+    ("trine", "overlap_23", 0.25),
+    ("trine", "facet_value", 1.25),
+    ("trine", "facet_member", False),
+    ("trine", "delta_123", _c(0.375)),
+    ("trine", "verdict", "set_coherent"),
+    ("c4_quartet", "purity_1", 0.5),
+    ("c4_quartet", "purity_2", 0.5),
+    ("c4_quartet", "purity_3", 0.5),
+    ("c4_quartet", "purity_4", 0.5),
+    ("c4_quartet", "overlap_12", 0.25),
+    ("c4_quartet", "overlap_13", 0.25),
+    ("c4_quartet", "overlap_14", 0.25),
+    ("c4_quartet", "overlap_23", 0.25),
+    ("c4_quartet", "overlap_24", 0.25),
+    ("c4_quartet", "overlap_34", 0.25),
+    ("c4_quartet", "delta_123", _c(0.125)),
+    ("c4_quartet", "delta_124", _c(0.0625)),
+    ("c4_quartet", "delta_134", _c(0.0625)),
+    ("c4_quartet", "delta_234", _c(0.0625)),
+    ("c4_quartet", "delta_1234", _c(0.03125)),
+    ("c4_quartet", "gram_matrix", (np.eye(4) / 4).tolist()),
+    ("c4_quartet", "gram_rank", 4),
+    ("c4_quartet", "verdict", "set_coherent"),
+    *_emc_rows("emc_rho_pair", 9 / 3200, "set_coherent"),
+    *_emc_rows("emc_sigma_pair", 0.0, "set_incoherent"),
+]
+
+
+def test_paper_check_rows():
+    # every check, in report order, with its expected value as reported
+    rows = [
+        (row["fixture"], row["quantity"], row["expected"]) for row in fx.paper_check().to_json()
+    ]
+    assert rows == PAPER_CHECK_ROWS
+
+
 def test_paper_check_subset_and_json():
     report = fx.paper_check(["trine"])
     assert report.passed
