@@ -64,7 +64,7 @@ from .invariants import (
     scenario_catalog,
 )
 from .io import StateSet, load_state_set, save_state_set, state_set_from_document, state_set_to_document
-from .numkernel import EigenSystem, chain_product_trace, hermitian_eig, hs_norm_sq
+from .numkernel import chain_product_trace, hermitian_eig
 from .states import (
     BlochVector,
     PositiveOperator,

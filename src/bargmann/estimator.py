@@ -108,10 +108,11 @@ def estimate_invariant(
     Each requested component (real, and imaginary unless ``real_only``)
     consumes ``shots_per_setting`` Bernoulli draws with success probability
     ``(1 + component)/2`` at the exact invariant value; the estimate is the
-    unbiased ``2 * successes/shots - 1``.
+    unbiased ``2 * successes/shots - 1``.  Only the states the word uses must
+    have unit trace.
     """
     w = check_word(word, n_states=len(states))
-    require_normalized(states, _NORMALIZED_REASON)
+    require_normalized(states, _NORMALIZED_REASON, labels=sorted(set(w)))
     return _sample(w, bargmann_invariant(states, w), config)
 
 

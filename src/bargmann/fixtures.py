@@ -183,7 +183,8 @@ def _trine() -> Fixture:
             (_delta(1, 2, 3), _c("3/8", "0")),
             (_VERDICT, "set_coherent"),
         ),
-        source="planar qubit trine: Bloch vectors at 120 degrees on a great circle",
+        source="planar qubit trio: Bloch vectors at 0 and +-60 degrees on a great "
+        "circle, so pairwise 60, 60 and 120 degrees apart",
     )
 
 

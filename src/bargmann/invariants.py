@@ -8,6 +8,7 @@ Validated states are trusted: their matrices enter the product unscanned.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,11 @@ def word_text(word: Word) -> str:
 
 
 def check_word(word: Word, n_states: int | None = None) -> Word:
-    """Validate a word: nonempty, positive letters, within the alphabet."""
-    w = tuple(int(letter) for letter in word)
+    """Validate a word: nonempty, integer letters, positive, within the alphabet."""
+    try:
+        w = tuple(map(operator.index, word))
+    except TypeError as exc:
+        raise WordError(f"letters must be integers: {exc}") from exc
     if not w:
         raise WordError("word must be nonempty")
     for letter in w:

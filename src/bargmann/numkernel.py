@@ -1,4 +1,4 @@
-"""Dense complex matrix kernel: chained trace products, norms, Hermitian eigensystems.
+"""Dense complex matrix kernel: chained trace products and Hermitian spectra.
 
 Matrices are plain ``numpy`` arrays of ``complex128`` (row-major).  Every entry
 point checks raw arrays' shape and finiteness, and :func:`hermitian_eig` also
@@ -9,7 +9,6 @@ product loop.  Dimensions of a few hundred are the intended operating range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,12 +17,10 @@ from .exceptions import HermiticityError, NumericError, ShapeError
 
 __all__ = [
     "HERM_TOL",
-    "EigenSystem",
     "as_complex_matrix",
     "as_hermitian_matrix",
     "chain_product_trace",
     "hermitian_eig",
-    "hs_norm_sq",
 ]
 
 # Largest entrywise |A - A†| tolerated: about ten times double-precision
@@ -54,14 +51,14 @@ def as_complex_matrix(a: "np.ndarray | Iterable") -> np.ndarray:
     return m
 
 
-def as_hermitian_matrix(a: "np.ndarray | Iterable", herm_tol: float) -> np.ndarray:
-    """:func:`as_complex_matrix`, require ``max |A - A†| <= herm_tol`` entrywise,
+def as_hermitian_matrix(a: "np.ndarray | Iterable") -> np.ndarray:
+    """:func:`as_complex_matrix`, require ``max |A - A†| <= HERM_TOL`` entrywise,
     and return the exactly Hermitian part ``(A + A†)/2``."""
     m = as_complex_matrix(a)
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > herm_tol:
+    if dev > HERM_TOL:
         raise HermiticityError(
-            f"matrix is not Hermitian: max |A - A†| = {dev:.3e} > {herm_tol:.3e}"
+            f"matrix is not Hermitian: max |A - A†| = {dev:.3e} > {HERM_TOL:.3e}"
         )
     return (m + m.conj().T) / 2.0
 
@@ -102,42 +99,8 @@ def _product_trace(ms: Sequence[np.ndarray]) -> complex:
     return value
 
 
-def hs_norm_sq(a: np.ndarray) -> float:
-    """Squared Hilbert-Schmidt (Frobenius) norm ``tr(A† A)``.
-
-    Equal to the sum of squared moduli of the entries; always nonnegative.
-    """
-    m = as_complex_matrix(a)
-    return float(np.sum(np.abs(m) ** 2))
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Spectral decomposition of a Hermitian matrix.
-
-    Attributes
-    ----------
-    eigenvalues : np.ndarray
-        Real eigenvalues, ascending.
-    eigenvectors : np.ndarray
-        Unitary matrix whose columns are the matching orthonormal
-        eigenvectors, so ``V @ diag(w) @ V†`` reconstructs ``matrix``.
-    matrix : np.ndarray
-        The decomposed Hermitian part ``(A + A†)/2`` of the input ``A``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    matrix: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        """Return ``V diag(w) V†``."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def hermitian_eig(a: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix.
+def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian part of a matrix and its spectrum.
 
     Parameters
     ----------
@@ -146,12 +109,12 @@ def hermitian_eig(a: np.ndarray) -> EigenSystem:
 
     Returns
     -------
-    EigenSystem
-        Ascending eigenvalues with orthonormal eigenvector columns.
+    (np.ndarray, np.ndarray)
+        The Hermitian part ``(A + A†)/2`` and its real eigenvalues, ascending.
     """
-    sym = as_hermitian_matrix(a, HERM_TOL)
+    sym = as_hermitian_matrix(a)
     try:
-        w, v = np.linalg.eigh(sym)
+        w = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"Hermitian eigensolver failed to converge: {exc}") from exc
-    return EigenSystem(eigenvalues=w, eigenvectors=v, matrix=sym)
+    return sym, w

@@ -9,7 +9,7 @@ only a strictly positive trace and positive semidefiniteness are mandatory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class PositiveOperator:
     ----------
     matrix : np.ndarray
         The certified ``(d, d)`` matrix: the Hermitian part ``(A + A†)/2``
-        of the input ``A``, which ``eigenvalues`` diagonalize.
+        of the input ``A``, whose spectrum is ``eigenvalues``.
     trace : float
         Real trace (strictly positive).
     normalized : bool
@@ -104,9 +104,8 @@ def validate_state(matrix: np.ndarray, psd_tol: float = PSD_TOL) -> PositiveOper
     -------
     PositiveOperator
     """
-    eig = hermitian_eig(matrix)
-    m = eig.matrix
-    lo = float(eig.eigenvalues[0])
+    m, w = hermitian_eig(matrix)
+    lo = float(w[0])
     if lo < -psd_tol:
         raise PositivityError(
             f"state has negative eigenvalue {lo:.6e} (tolerance {psd_tol:.1e})"
@@ -119,14 +118,19 @@ def validate_state(matrix: np.ndarray, psd_tol: float = PSD_TOL) -> PositiveOper
         trace=tr,
         normalized=bool(abs(tr - 1.0) <= NORM_TOL),
         psd_slack=lo,
-        eigenvalues=eig.eigenvalues,
+        eigenvalues=w,
     )
 
 
-def require_normalized(states: Sequence[PositiveOperator], reason: str) -> None:
+def require_normalized(
+    states: Sequence[PositiveOperator], reason: str, labels: "Iterable[int] | None" = None
+) -> None:
     """Raise :class:`NormalizationError`, naming the first state (1-based) whose
-    trace is not 1 to ``NORM_TOL``, and ``reason``."""
-    for i, s in enumerate(states, start=1):
+    trace is not 1 to ``NORM_TOL``, and ``reason``.
+
+    ``labels`` are the 1-based labels to check, in order; default all."""
+    for i in range(1, len(states) + 1) if labels is None else labels:
+        s = states[i - 1]
         if not s.normalized:
             raise NormalizationError(f"state {i} has trace {s.trace!r}; {reason}")
 
@@ -136,7 +140,7 @@ def as_matrix(op: "PositiveOperator | np.ndarray") -> np.ndarray:
     of a raw array checked to be square, finite and Hermitian to ``HERM_TOL``."""
     if isinstance(op, PositiveOperator):
         return op.matrix
-    return as_hermitian_matrix(op, HERM_TOL)
+    return as_hermitian_matrix(op)
 
 
 def purity(rho: PositiveOperator) -> float:

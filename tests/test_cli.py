@@ -101,6 +101,23 @@ def test_estimate_command(fixture_file, capsys):
     assert main(["estimate", path, "--word", "1,2,3", "--shots", "0"]) == 2
 
 
+def test_estimate_checks_only_the_words_states(tmp_path, capsys):
+    # the third state of this trio has trace 0.5
+    path = str(tmp_path / "trio.json")
+    diagonals = ([1.0, 0, 0], [0, 1.0, 0], [0, 0, 0.5])
+    bio.save_state_set(path, [validate_state(np.diag(d)) for d in diagonals])
+    code, payload = run_json(capsys, ["estimate", path, "--word", "1,2", "--shots", "100"])
+    assert code == 0
+    assert payload["word"] == "1,2"
+    assert main(["estimate", path, "--word", "1,3", "--shots", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: state 3 has trace 0.5; estimation requires normalized states "
+        "so expectations stay in [-1, 1]\n"
+    )
+
+
 def test_estimate_gap_command(fixture_file, capsys):
     code, payload = run_json(
         capsys,

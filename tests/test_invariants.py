@@ -13,7 +13,6 @@ from bargmann.invariants import (
     scenario_catalog,
     word_text,
 )
-from bargmann.numkernel import hermitian_eig
 from bargmann.states import commuting_set, haar_unitary, pure_state, purity, validate_state
 
 EMC_W23_EXPECTED = {
@@ -61,6 +60,10 @@ def test_bargmann_invariant_errors():
         bargmann_invariant(states, (1, 4))
     with pytest.raises(WordError):
         bargmann_invariant(states, ())
+    # letters are integers, never truncated; numpy integers are integers
+    with pytest.raises(WordError):
+        bargmann_invariant(states, (1.7, 2))
+    assert bargmann_invariant(states, (np.int64(1), 2)) == bargmann_invariant(states, (1, 2))
     mixed_dims = [states[0], pure_state([1, 0, 0])]
     with pytest.raises(ShapeError):
         bargmann_invariant(mixed_dims, (1, 2))
@@ -152,7 +155,7 @@ def test_classical_invariant_matches_commuting_pair():
     pair = commuting_set(4, 2, rng)
     # common eigenbasis from a generic linear combination
     combo = 0.7 * pair[0].matrix + 0.31 * pair[1].matrix
-    basis = hermitian_eig(combo).eigenvectors
+    basis = np.linalg.eigh(combo)[1]
     weights = np.array(
         [
             [float((basis[:, k].conj() @ s.matrix @ basis[:, k]).real) for k in range(4)]

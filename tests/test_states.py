@@ -57,9 +57,19 @@ def test_validate_state_scans_once(scan_calls):
     assert len(scan_calls) == 1
 
 
+def test_validate_state_needs_no_eigenvectors(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("validate_state asked for eigenvectors")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    op = validate_state(np.diag([0.5, 0.3, 0.2]).astype(complex))
+    assert op.normalized
+    np.testing.assert_allclose(op.eigenvalues, [0.2, 0.3, 0.5], atol=1e-15)
+
+
 def test_validate_state_stores_hermitian_part():
     # a sub-tolerance anti-Hermitian residue is not kept: the stored matrix is
-    # exactly the Hermitian part that was diagonalized
+    # exactly the Hermitian part whose spectrum was taken
     base = np.array([[0.5, 0.1 - 0.2j], [0.1 + 0.2j, 0.5]])
     residue = np.array([[3e-13j, 2e-13], [-2e-13, -1e-13j]])
     a = base + residue
