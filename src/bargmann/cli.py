@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -38,7 +39,7 @@ EXIT_ERROR = 2
 
 
 def _write_report(payload, out_path: "str | None") -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
     else:
@@ -67,8 +68,19 @@ def _arg(*flags, **kwargs) -> tuple:
     return flags, kwargs
 
 
+def _tolerance(text: str) -> float:
+    """argparse type: a finite float >= 0, as NaN, inf and negatives decide nothing."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _tol(default: float) -> tuple:
-    return _arg("--tol", type=float, default=default, help=f"tolerance (default {default})")
+    return _arg("--tol", type=_tolerance, default=default, help=f"tolerance (default {default})")
 
 
 _SEED = _arg("--seed", type=int, default=0)
@@ -171,7 +183,7 @@ COMMANDS = {
         _tol(criteria.COMMUTE_TOL),
         _arg("--reference", type=int, default=None,
              help="1-based label of a non-degenerate reference state (reduced mode)"),
-        _arg("--gap-tol", type=float, default=states.GAP_TOL,
+        _arg("--gap-tol", type=_tolerance, default=states.GAP_TOL,
              help="minimal spectral gap required of the reference"),
     )),
     "estimate": Command("shot-based estimate of one invariant", _estimate, (

@@ -17,6 +17,7 @@ reductions, and an imaginarity witness bound.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from .exceptions import (
     DegenerateReferenceError,
+    NumericError,
     NumericInconsistencyError,
     ShapeError,
 )
@@ -74,9 +76,34 @@ IM_ERROR_TOL = 1e-8
 SET_INCOHERENT = "set_incoherent"
 SET_COHERENT = "set_coherent"
 
+# JSON form of a report field: scalars pass through, tuples and arrays become
+# lists, complex numbers {"re", "im"}.
+_TO_JSON = {
+    tuple: list,
+    np.ndarray: np.ndarray.tolist,
+    complex: lambda z: {"re": z.real, "im": z.imag},
+}
+
+
+def _json_value(value):
+    convert = _TO_JSON.get(type(value))
+    return value if convert is None else convert(value)
+
+
+class _Report:
+    """``to_dict``: a dataclass's fields in declaration order, as JSON values.
+
+    Reports whose JSON is not their fields write their own ``to_dict``:
+    ``CoherenceReport`` omits an unset ``reference``, and ``EstimateResult``,
+    ``GapEstimate`` and ``fixtures.PaperCheckEntry`` rename keys.
+    """
+
+    def to_dict(self) -> dict:
+        return {k: _json_value(v) for k, v in vars(self).items()}
+
 
 @dataclass(frozen=True)
-class PairGap:
+class PairGap(_Report):
     """Fourth-order invariant gap of one pair of operators.
 
     ``gap = 1/2 ||AB - BA||_F^2`` is computed directly, so ``gap >= 0``
@@ -89,15 +116,6 @@ class PairGap:
     delta_lklk: float
     gap: float
     commutes: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "indices": list(self.indices),
-            "delta_llkk": self.delta_llkk,
-            "delta_lklk": self.delta_lklk,
-            "gap": self.gap,
-            "commutes": self.commutes,
-        }
 
 
 @dataclass(frozen=True)
@@ -143,7 +161,8 @@ def commutator_gap(
     ``gap = 1/2 ||M - M†||_F^2``; the pair commutes iff the two traces agree,
     i.e. iff the gap vanishes.  Positivity of the inputs is not required: the
     identity holds for arbitrary Hermitian operators.  |Im tr(ABAB)| above
-    ``IM_ERROR_TOL ||A||_F^2 ||B||_F^2`` raises :class:`NumericInconsistencyError`.
+    ``IM_ERROR_TOL ||A||_F^2 ||B||_F^2`` raises :class:`NumericInconsistencyError`;
+    a non-finite tr(A^2 B^2) or gap (overflow) raises :class:`NumericError`.
 
     Parameters
     ----------
@@ -163,6 +182,10 @@ def commutator_gap(
     c = m - m_h
     gap = 0.5 * float(np.vdot(c, c).real)
     llkk = float(np.vdot(m, m).real)
+    if not (math.isfinite(llkk) and math.isfinite(gap)):
+        raise NumericError(
+            f"pair invariants are not finite: tr(A^2 B^2) = {llkk}, gap = {gap}"
+        )
     lklk = complex(np.vdot(m_h, m))  # vdot conjugates m_h back: sum_ij M_ji M_ij
     # Rounding in M scales with ||A||_F ||B||_F even where M cancels (orthogonal
     # A, B); as llkk <= ||A||_F^2 ||B||_F^2, the norms are needed only past llkk.
@@ -273,14 +296,11 @@ def qubit_delta1212(d11: float, d22: float, d12: float) -> float:
 
 
 @dataclass(frozen=True)
-class QubitCriterionResult:
+class QubitCriterionResult(_Report):
     """Residual of the qubit overlap equality and the commuting verdict."""
 
     residual: float
     commutes: bool
-
-    def to_dict(self) -> dict:
-        return {"residual": self.residual, "commutes": self.commutes}
 
 
 def qubit_criterion(
@@ -359,7 +379,7 @@ def gram_bloch(states: list[PositiveOperator], convention: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GramRankReport:
+class GramRankReport(_Report):
     """Numerical rank of the Bloch Gram matrix against the d-1 bound.
 
     ``gram`` is c (Z - t t^T / d), Z_ij = tr(rho_i rho_j), t_i = tr rho_i (see
@@ -379,19 +399,6 @@ class GramRankReport:
     sufficient: bool
     verdict: str | None
     gram: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "convention": self.convention,
-            "rank": self.rank,
-            "eigenvalues": [float(x) for x in self.eigenvalues],
-            "bound": self.bound,
-            "condition_ok": self.condition_ok,
-            "sufficient": self.sufficient,
-            "verdict": self.verdict,
-            "gram": self.gram.tolist(),
-        }
 
 
 def gram_rank_criterion(
@@ -443,7 +450,7 @@ def gram_rank_criterion(
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FacetReport:
+class FacetReport(_Report):
     """Membership data for the three-state overlap polytope.
 
     Jointly diagonalizable normalized triples have overlaps in [0, 1]
@@ -456,14 +463,6 @@ class FacetReport:
     facet_slacks: tuple[float, float, float]
     box_ok: bool
     member: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "point": list(self.point),
-            "facet_slacks": list(self.facet_slacks),
-            "box_ok": self.box_ok,
-            "member": self.member,
-        }
 
 
 def c3_facet_check(
@@ -492,15 +491,12 @@ def winc_membership(
 
     With ``normalized=False`` the box constraint is dropped and only
     nonnegativity plus the equality remain, which characterizes commuting
-    pairs of arbitrary unnormalized positive operators.
+    pairs of arbitrary unnormalized positive operators.  A NaN is never a member.
     """
-    if abs(z1122 - z1212) > tol:
-        return False
-    if z1122 < -tol or z1212 < -tol:
-        return False
-    if normalized and (z1122 > 1 + tol or z1212 > 1 + tol):
-        return False
-    return True
+    upper = 1 + tol if normalized else math.inf
+    return bool(
+        abs(z1122 - z1212) <= tol and -tol <= z1122 <= upper and -tol <= z1212 <= upper
+    )
 
 
 # --------------------------------------------------------------------------
@@ -508,7 +504,7 @@ def winc_membership(
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ImaginarityWitness:
+class ImaginarityWitness(_Report):
     """Cauchy-Schwarz bound on the imaginary part of a third-order invariant.
 
     ``2 |Im tr(rho_l rho_k rho_s)| <= ||rho_l||_2 * ||[rho_k, rho_s]||_2``,
@@ -520,14 +516,6 @@ class ImaginarityWitness:
     rhs: float
     satisfied: bool
     im_delta: float
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "satisfied": self.satisfied,
-            "im_delta": self.im_delta,
-        }
 
 
 def imaginarity_witness(

@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .criteria import (
+    _json_value,
     c3_facet_check,
     commutator_gap,
     gram_bloch,
@@ -301,16 +302,6 @@ def _deviation(expected, computed) -> float:
             return float("inf")
         return float(np.max(np.abs(e - c))) if e.size else 0.0
     return float(abs(complex(expected) - complex(computed)))
-
-
-def _json_value(value):
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ class PositiveOperator:
         Whether ``|trace - 1| <= NORM_TOL`` held at validation; operations
         that need unit trace check it with :func:`require_normalized`.
     psd_slack : float
-        Most negative eigenvalue found at validation (>= -psd_tol).
+        Smallest eigenvalue found at validation (>= -PSD_TOL).
     eigenvalues : np.ndarray
         Ascending spectrum found at validation.
     """
@@ -87,18 +87,17 @@ class PositiveOperator:
         return int(self.matrix.shape[0])
 
 
-def validate_state(matrix: np.ndarray, psd_tol: float = PSD_TOL) -> PositiveOperator:
+def validate_state(matrix: np.ndarray) -> PositiveOperator:
     """Validate a matrix as a (possibly unnormalized) quantum state.
 
-    Hermiticity is checked to ``HERM_TOL`` entrywise, and the state is
-    flagged ``normalized`` when ``|trace - 1| <= NORM_TOL``.
+    Hermiticity is checked to ``HERM_TOL`` entrywise, eigenvalues below
+    ``-PSD_TOL`` raise :class:`PositivityError`, and the state is flagged
+    ``normalized`` when ``|trace - 1| <= NORM_TOL``.
 
     Parameters
     ----------
     matrix : array_like
         Square complex matrix.
-    psd_tol : float
-        Eigenvalues below ``-psd_tol`` raise :class:`PositivityError`.
 
     Returns
     -------
@@ -106,9 +105,9 @@ def validate_state(matrix: np.ndarray, psd_tol: float = PSD_TOL) -> PositiveOper
     """
     m, w = hermitian_eig(matrix)
     lo = float(w[0])
-    if lo < -psd_tol:
+    if lo < -PSD_TOL:
         raise PositivityError(
-            f"state has negative eigenvalue {lo:.6e} (tolerance {psd_tol:.1e})"
+            f"state has negative eigenvalue {lo:.6e} (tolerance {PSD_TOL:.1e})"
         )
     tr = float(np.trace(m).real)
     if tr <= 0:
@@ -291,9 +290,9 @@ def qubit_from_bloch(r: Sequence[float]) -> PositiveOperator:
         + vec[1] * PAULI_Y
         + vec[2] * PAULI_Z
     )
-    # Tolerate the |r| = 1 boundary, where rounding can leave an eigenvalue
-    # barely below zero.
-    return validate_state(m, psd_tol=1e-9)
+    # |r| <= 1 + 1e-12 keeps both eigenvalues (1 -+ |r|)/2 above about -5e-13,
+    # well inside PSD_TOL.
+    return validate_state(m)
 
 
 # --------------------------------------------------------------------------

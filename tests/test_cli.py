@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from bargmann import io as bio
-from bargmann.cli import main
+from bargmann.cli import _write_report, main
 from bargmann.exceptions import DocumentError
 from bargmann.fixtures import fixture
-from bargmann.states import purity, validate_state
+from bargmann.states import commuting_set, purity, qubit_from_bloch, validate_state
 
 
 @pytest.fixture
@@ -256,6 +256,115 @@ def test_imaginarity_command(fixture_file, capsys):
     code, payload = run_json(capsys, ["imaginarity", fixture_file("main_sigma_trio")])
     assert code == 0
     assert payload["im_delta"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_gram_conventions_differ_by_two_and_share_the_rank(fixture_file, capsys):
+    path = fixture_file("mub_trio")
+    _, pauli = run_json(capsys, ["gram", path, "--convention", "pauli"])
+    _, ortho = run_json(capsys, ["gram", path, "--convention", "orthonormal"])
+    assert (pauli["convention"], ortho["convention"]) == ("pauli", "orthonormal")
+    np.testing.assert_allclose(pauli["gram"], 2 * np.array(ortho["gram"]), rtol=0, atol=1e-15)
+    assert pauli["rank"] == ortho["rank"] == 3
+
+
+def test_estimate_real_only_settings(fixture_file, capsys):
+    code, payload = run_json(capsys, [
+        "estimate", fixture_file("mub_trio"), "--word", "1,2,3", "--shots", "1000",
+        "--settings", "real_only",
+    ])
+    assert code == 0
+    assert payload["shots"] == 1000
+    assert payload["im"] == payload["stderr_im"] == 0.0
+    assert payload["stderr_re"] > 0
+
+
+def test_coherence_gap_tol_is_the_reference_requirement(fixture_file, capsys):
+    # reference 1 is diag(1/2, 3/8, 1/8, 0): its minimum spectral gap is 1/8
+    path = fixture_file("emc_rho_pair")
+    code, payload = run_json(capsys, ["coherence", path, "--reference", "1", "--gap-tol", "0.1"])
+    assert code == 1
+    assert payload["mode"] == "reduced"
+    assert main(["coherence", path, "--reference", "1", "--gap-tol", "0.2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "degenerate" in captured.err
+
+
+def _near_collinear_qubits(path):
+    # pauli Gram eigenvalues 0.5 and 5e-7: rank 2 unless the cutoff passes 1e-6
+    bio.save_state_set(path, [qubit_from_bloch((0, 0, 0.5)), qubit_from_bloch((1e-3, 0, 0.5))])
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, document, tol, key, default_value, flipped_value",
+    [
+        ("qubit-check", "mub_trio", "0.3", "verdict", "set_coherent", "set_incoherent"),
+        ("gram", "near_collinear", "1e-3", "rank", 2, 1),
+        ("facets", "trine", "0.3", "member", False, True),
+        ("imaginarity", "mub_trio", "0.3", "tol", 1e-10, 0.3),
+    ],
+)
+def test_tol_flips_each_finding(command, document, tol, key, default_value, flipped_value,
+                                fixture_file, tmp_path, capsys):
+    if document == "near_collinear":
+        path = _near_collinear_qubits(tmp_path / "qubits.json")
+    else:
+        path = fixture_file(document)
+    code, payload = run_json(capsys, [command, path])
+    assert (code, payload[key]) == (1, default_value)
+    code, payload = run_json(capsys, [command, path, "--tol", tol])
+    assert (code, payload[key]) == (0, flipped_value)
+
+
+_RANDOM = {
+    "commuting": ["--dim", "4", "--count", "3", "--ensemble", "commuting", "--seed", "1"],
+    "ginibre_qubits": ["--dim", "2", "--count", "3", "--seed", "4"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, document, tol_args",
+    [
+        ("coherence", "commuting", ["--tol", "nan"]),
+        ("coherence", "commuting", ["--tol", "inf"]),
+        ("coherence", "commuting", ["--tol=-1e-300"]),
+        ("coherence", "c4_quartet", ["--reference", "1", "--gap-tol=-1"]),
+        ("gram", "ginibre_qubits", ["--tol", "nan"]),
+        ("qubit-check", "trine", ["--tol", "nan"]),
+        ("facets", "trine", ["--tol", "nan"]),
+        ("imaginarity", "mub_trio", ["--tol", "inf"]),
+    ],
+    ids=["coherence-nan", "coherence-inf", "coherence-negative", "coherence-gap-tol-negative",
+         "gram-nan", "qubit-check-nan", "facets-nan", "imaginarity-inf"],
+)
+def test_tolerances_that_decide_nothing_are_usage_errors(command, document, tol_args,
+                                                         fixture_file, tmp_path, capsys):
+    if document in _RANDOM:
+        path = str(tmp_path / "random.json")
+        assert main(["random", *_RANDOM[document], "--out", path]) == 0
+    else:
+        path = fixture_file(document)
+    assert main([command, path, *tol_args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be a finite number >= 0" in captured.err
+
+
+def test_non_finite_pair_invariants_exit_2(tmp_path, capsys):
+    # a commuting set at trace 1e100: tr(A^2 B^2) overflows, so no verdict
+    path = tmp_path / "huge.json"
+    rng = np.random.default_rng(1)
+    bio.save_state_set(path, [validate_state(1e100 * s.matrix) for s in commuting_set(4, 3, rng)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["coherence", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: pair invariants are not finite")
+    # and no report carries NaN or Infinity, which are not JSON
+    with pytest.raises(ValueError):
+        _write_report({"gap": float("nan")}, None)
+    assert capsys.readouterr().out == ""
 
 
 def test_reports_are_clean_json_on_stdout(fixture_file, capsys):

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from bargmann.estimator import EstimatorConfig, estimate_gap
 from bargmann.exceptions import (
     DegenerateReferenceError,
     HermiticityError,
+    NumericError,
     NumericInconsistencyError,
     ShapeError,
 )
@@ -102,6 +106,18 @@ def test_commutator_gap_accepts_plain_hermitian():
     small = commutator_gap(1e-6 * a + residue, 1e-6 * b)
     assert small.gap == commutator_gap(1e-6 * a, 1e-6 * b).gap
     assert commutator_gap([[1.0 + 4.7e-18j]], [[2.0]]).gap == 0.0
+
+
+def test_commutator_gap_rejects_non_finite_invariants():
+    # a commuting set scaled to trace 1e100 overflows tr(A^2 B^2): an error,
+    # not a NaN gap that reads as "does not commute"
+    rng = np.random.default_rng(1)
+    big = [validate_state(1e100 * s.matrix) for s in commuting_set(4, 3, rng)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="not finite"):
+            commutator_gap(big[0], big[1])
+        with pytest.raises(NumericError, match="not finite"):
+            set_coherence_decide(big)
 
 
 def test_gap_equals_half_commutator_norm():
@@ -481,6 +497,22 @@ def test_gram_rank_report_carries_its_matrix():
     assert payload["gram"] == rep.gram.tolist()
 
 
+def test_field_reports_serialize_their_fields_in_order():
+    quartet = list(fixture("c4_quartet").states)
+    reports = [
+        commutator_gap(quartet[0], quartet[1]),
+        qubit_criterion(1.0, 1.0, 0.5),
+        gram_rank_criterion(quartet),
+        c3_facet_check(0.25, 0.25, 0.25),
+        imaginarity_witness(*fixture("mub_trio").states),
+    ]
+    for rep in reports:
+        payload = rep.to_dict()
+        assert list(payload) == [f.name for f in dataclasses.fields(rep)]
+        # tuples and arrays arrive as lists, so the payload survives a round trip
+        assert json.loads(json.dumps(payload, allow_nan=False)) == payload
+
+
 def test_gram_rank_consistent_with_gaps_for_qubits():
     rng = np.random.default_rng(48)
     for trial in range(50):
@@ -532,6 +564,10 @@ def test_winc_membership():
     assert not winc_membership(1.5, 1.5)
     assert winc_membership(1.5, 1.5, normalized=False)
     assert not winc_membership(-0.2, -0.2, normalized=False)
+    nan = float("nan")
+    for point in ((nan, 0.3), (0.3, nan), (nan, nan)):
+        assert not winc_membership(*point)
+        assert not winc_membership(*point, normalized=False)
 
 
 # --------------------------------------------------------------------------

@@ -129,6 +129,13 @@ def test_qubit_from_bloch():
         qubit_from_bloch((1.0, 0.5, 0.0))
     with pytest.raises(ShapeError):
         qubit_from_bloch((1.0, 0.0))
+    # up to the norm cap |r| <= 1 + 1e-12, validation at PSD_TOL passes with
+    # no extra slack; beyond it the norm check raises
+    for r in ((1.0, 0.0, 0.0), (0.0, 0.6, -0.8), (0.0, 0.0, -(1 + 1e-12))):
+        assert qubit_from_bloch(r).psd_slack > -1e-12
+    for r in ((1 + 1e-11, 0.0, 0.0), (0.0, -(1 + 1e-11), 0.0)):
+        with pytest.raises(PositivityError):
+            qubit_from_bloch(r)
 
 
 def test_bloch_round_trip():
