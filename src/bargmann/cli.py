@@ -39,7 +39,7 @@ EXIT_ERROR = 2
 
 
 def _write_report(payload, out_path: "str | None") -> None:
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    text = json.dumps(payload, cls=io.ArrayEncoder, indent=2, allow_nan=False) + "\n"
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
     else:
@@ -256,7 +256,10 @@ def main(argv: "list[str] | None" = None) -> int:
     command = COMMANDS[args.command]
     try:
         ops = list(io.load_state_set(args.file).states) if command.reads_file else None
-        payload, finding = command.compute(args, ops)
+        # Kernels raise NumericError on a non-finite result, so numpy's own
+        # overflow warnings would only print noise ahead of that error line.
+        with np.errstate(over="ignore", invalid="ignore"):
+            payload, finding = command.compute(args, ops)
         _write_report(payload, args.out)
     except (BargmannError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

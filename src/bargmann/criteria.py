@@ -361,7 +361,8 @@ def gram_bloch(states: list[PositiveOperator], convention: str) -> np.ndarray:
     ``G = c (Z - t t^T / d)`` with Z_ij = tr(rho_i rho_j) and t_i = tr rho_i:
     c = 1 for ``orthonormal``, as {I/sqrt(d), T_a} is an orthonormal basis;
     c = 2 for ``pauli``, as rho = (tr rho I + <r, P>)/2.  No Bloch vector is
-    built: O(n^2 d^2) time and O(n d^2) memory in any dimension.
+    built: O(n^2 d^2) time and O(n d^2) memory in any dimension.  A
+    non-finite entry (overflow) raises :class:`NumericError`.
     """
     mats = [as_matrix(s) for s in states]
     if len({m.shape for m in mats}) > 1:
@@ -375,7 +376,10 @@ def gram_bloch(states: list[PositiveOperator], convention: str) -> np.ndarray:
         raise ShapeError(f"pauli convention requires dimension 2, got {d}")
     t = np.trace(x, axis1=1, axis2=2).real
     v = x.reshape(n, -1).view(np.float64)  # v_i . v_j = Re tr(rho_i rho_j†)
-    return c * (v @ v.T - np.outer(t, t) / d)
+    gram = c * (v @ v.T - np.outer(t, t) / d)
+    if not np.all(np.isfinite(gram)):
+        raise NumericError("Bloch Gram matrix is not finite")
+    return gram
 
 
 @dataclass(frozen=True)

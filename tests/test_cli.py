@@ -7,7 +7,13 @@ from bargmann import io as bio
 from bargmann.cli import _write_report, main
 from bargmann.exceptions import DocumentError
 from bargmann.fixtures import fixture
-from bargmann.states import commuting_set, purity, qubit_from_bloch, validate_state
+from bargmann.states import (
+    commuting_set,
+    purity,
+    qubit_from_bloch,
+    random_state,
+    validate_state,
+)
 
 
 @pytest.fixture
@@ -365,6 +371,31 @@ def test_non_finite_pair_invariants_exit_2(tmp_path, capsys):
     with pytest.raises(ValueError):
         _write_report({"gap": float("nan")}, None)
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, trace, dim, message",
+    [
+        (["coherence"], 1e200, 3, "error: pair invariants are not finite"),
+        (["imaginarity"], 1e200, 3, "error: trace of chained product is not finite"),
+        (["invariant", "--word", "1,2"], 1e200, 3,
+         "error: trace of chained product is not finite"),
+        (["gram"], 1e160, 2, "error: Bloch Gram matrix is not finite"),
+    ],
+    ids=["coherence", "imaginarity", "invariant", "gram"],
+)
+def test_overflow_is_one_error_line(argv, trace, dim, message, tmp_path, capsys):
+    # numpy's overflow warnings are not printed ahead of the typed error
+    # (pytest turns any RuntimeWarning into an exception)
+    path = tmp_path / "huge.json"
+    rng = np.random.default_rng(3)
+    mats = [random_state(dim, "ginibre_mixed", rng).matrix for _ in range(3)]
+    bio.save_state_set(path, [validate_state(trace * m) for m in mats])
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 def test_reports_are_clean_json_on_stdout(fixture_file, capsys):

@@ -414,6 +414,20 @@ def test_gram_bloch_examples():
     )
 
 
+def test_gram_bloch_rejects_non_finite_entries():
+    # qubits at trace 1e160 overflow tr(rho_i rho_j): an error, not a NaN
+    # matrix handed on to the eigensolver
+    rng = np.random.default_rng(2)
+    big = [validate_state(1e160 * random_state(2, "ginibre_mixed", rng).matrix)
+           for _ in range(3)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for convention in ("pauli", "orthonormal"):
+            with pytest.raises(NumericError, match="not finite"):
+                gram_bloch(big, convention)
+        with pytest.raises(NumericError, match="not finite"):
+            gram_rank_criterion(big)
+
+
 def test_gram_rank_criterion_trine():
     rep = gram_rank_criterion(list(fixture("trine").states))
     assert rep.convention == "pauli"

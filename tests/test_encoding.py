@@ -1,0 +1,128 @@
+"""``io.ArrayEncoder`` against the stdlib: the same bytes, or the same error."""
+
+import json
+import math
+from collections import OrderedDict
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bargmann import io as bio
+from bargmann.states import random_state
+
+
+def reference(x) -> str:
+    return json.dumps(x, indent=2, allow_nan=False)
+
+
+def encoded(x) -> str:
+    return json.dumps(x, cls=bio.ArrayEncoder, indent=2, allow_nan=False)
+
+
+class ListSubclass(list):
+    pass
+
+
+TEXT = st.text(st.sampled_from(list(',[]:"{}\n\\ aé∂😀'))) | st.text(max_size=8)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+NUMBERS = st.one_of(FLOATS, st.integers(), st.booleans())
+SCALARS = st.one_of(NUMBERS, st.none(), TEXT)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def regular_arrays(draw, elements=None):
+    """A nested list of 1-3 axes, each of length 1-4, of one element type or mixed."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    if elements is None:
+        elements = draw(st.sampled_from([FLOATS, st.integers(), st.booleans(), NUMBERS]))
+
+    def fill(axes):
+        if not axes:
+            return draw(elements)
+        return [fill(axes[1:]) for _ in range(axes[0])]
+
+    return fill(shape)
+
+
+def containers(children):
+    keys = TEXT | st.integers() | st.booleans() | st.none() | FLOATS
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4).map(ListSubclass),
+        st.dictionaries(TEXT, children, max_size=4),
+        st.dictionaries(TEXT, children, max_size=4).map(OrderedDict),
+        st.dictionaries(keys, children, max_size=2),
+    )
+
+
+TREES = st.recursive(SCALARS | regular_arrays() | regular_arrays(TEXT), containers, max_leaves=20)
+
+
+class Count(int):
+    def __repr__(self):
+        return "Count()"
+
+
+@settings(deadline=None)
+@given(TREES)
+@example([[]])
+@example({"a": [[], []], "b": [[[]]], "c": [1.0, []]})
+@example({"x": np.float64(0.5), "n": Count(3), "m": [[np.float64(0.25), Count(1)]]})
+@example([True, 1.5, Count(2)])
+def test_matches_stdlib_byte_for_byte(x):
+    assert encoded(x) == reference(x)
+
+
+@settings(deadline=None)
+@given(TREES, regular_arrays(FLOATS), NON_FINITE, st.sampled_from(["array", "value", "key"]),
+       st.data())
+def test_non_finite_numbers_raise_value_error(x, array, bad, where, data):
+    if where == "array":  # one entry of a regular array
+        row = array
+        while isinstance(row[0], list):
+            row = row[data.draw(st.integers(0, len(row) - 1))]
+        row[data.draw(st.integers(0, len(row) - 1))] = bad
+        tree = {"tree": x, "array": array}
+    elif where == "value":
+        tree = [x, bad]
+    else:
+        tree = {bad: x}
+    for encode in (reference, encoded):
+        with pytest.raises(ValueError):
+            encode(tree)
+
+
+def test_regular_arrays_take_one_c_encoder_call_each(monkeypatch):
+    rng = np.random.default_rng(4)
+    doc = bio.state_set_to_document([random_state(3, "ginibre_mixed", rng) for _ in range(2)])
+    report = {"pairs": [{"indices": [1, 2], "gap": 0.5}], "eigenvalues": [0.25, 0.75],
+              "gram": [[1.0, 0.0], [0.0, 1.0]]}
+    calls = []
+
+    class Counting(json.JSONEncoder):
+        def encode(self, o):
+            calls.append(o)
+            return super().encode(o)
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("fell back to the stdlib encoder")
+
+    expected = [reference(doc), reference(report)]
+    monkeypatch.setattr(bio, "_COMPACT", Counting(separators=(",", ":"), allow_nan=False))
+    monkeypatch.setattr(bio.ArrayEncoder, "iterencode", no_fallback)
+    assert [encoded(doc), encoded(report)] == expected
+    arrays = [s["matrix"] for s in doc["states"]] + [report["eigenvalues"], report["gram"]]
+    assert len(calls) == len(arrays) and all(c is a for c, a in zip(calls, arrays))
+
+
+def test_save_state_set_writes_the_stdlib_text(tmp_path):
+    rng = np.random.default_rng(5)
+    states = [random_state(4, "ginibre_mixed", rng) for _ in range(3)]
+    path = tmp_path / "states.json"
+    bio.save_state_set(path, states, labels=["a", "b", "c"])
+    doc = bio.state_set_to_document(states, labels=["a", "b", "c"])
+    assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
