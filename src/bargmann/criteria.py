@@ -93,9 +93,9 @@ def _json_value(value):
 class _Report:
     """``to_dict``: a dataclass's fields in declaration order, as JSON values.
 
-    Reports whose JSON is not their fields write their own ``to_dict``:
-    ``CoherenceReport`` omits an unset ``reference``, and ``EstimateResult``,
-    ``GapEstimate`` and ``fixtures.PaperCheckEntry`` rename keys.
+    Subclasses override ``to_dict`` only for a key they omit or rename.
+    ``EstimateResult`` (a complex as ``re``/``im``, the word as text) and
+    ``GapEstimate`` (two estimates nested under new keys) write their own.
     """
 
     def to_dict(self) -> dict:
@@ -119,7 +119,7 @@ class PairGap(_Report):
 
 
 @dataclass(frozen=True)
-class CoherenceReport:
+class CoherenceReport(_Report):
     """Pairwise gap table and overall verdict for a state collection.
 
     ``mode`` is ``"full"`` (all n(n-1)/2 pairs) or ``"reduced"`` (only the
@@ -132,19 +132,13 @@ class CoherenceReport:
     pairs: tuple[PairGap, ...]
     verdict: str
     mode: str
-    reference: int | None
     invariant_count: int
+    reference: int | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "pairs": [p.to_dict() for p in self.pairs],
-            "verdict": self.verdict,
-            "mode": self.mode,
-            "invariant_count": self.invariant_count,
-        }
-        if self.reference is not None:
-            out["reference"] = self.reference
+        out = {**super().to_dict(), "pairs": [p.to_dict() for p in self.pairs]}
+        if self.reference is None:
+            del out["reference"]
         return out
 
 
@@ -242,6 +236,13 @@ def reduced_set_coherence(
     states onto its eigenbasis, so the n-1 pairs against it decide the whole
     collection with 2(n-1) invariants instead of n(n-1).
 
+    A set_incoherent verdict needs a certificate from the reference's minimum
+    adjacent eigenvalue gap delta.  In its eigenbasis R = diag(r),
+    ||[R, X]||_F^2 = sum_ij (r_i - r_j)^2 |X_ij|^2 >= delta^2 ||offdiag X||_F^2,
+    so ||offdiag X||_F^2 <= 2 gap(R, X) / delta^2.  When that bound, taken at
+    the largest pair gap, exceeds ``tol``, :class:`DegenerateReferenceError` is
+    raised.  A dimension-1 reference has delta = inf, hence bound 0.
+
     Parameters
     ----------
     states : list of PositiveOperator
@@ -262,7 +263,16 @@ def reduced_set_coherence(
             f"(min adjacent gap {profile.min_gap:.3e} <= {gap_tol:.1e})"
         )
     pairs = [(ref_index, k) for k in range(1, n + 1) if k != ref_index]
-    return _decide(states, pairs, tol, "reduced", ref_index)
+    report = _decide(states, pairs, tol, "reduced", ref_index)
+    if report.verdict == SET_INCOHERENT:
+        delta = profile.min_gap
+        bound = 2 * max((p.gap for p in report.pairs), default=0.0) / delta / delta
+        if bound > tol:
+            raise DegenerateReferenceError(
+                f"reference state {ref_index} is too near degenerate to certify the verdict: "
+                f"min adjacent gap {delta:.3e}, off-diagonal bound {bound:.3e} > tol {tol:.1e}"
+            )
+    return report
 
 
 # --------------------------------------------------------------------------

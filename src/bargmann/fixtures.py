@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .criteria import (
-    _json_value,
+    _Report,
     c3_facet_check,
     commutator_gap,
     gram_bloch,
@@ -305,8 +305,8 @@ def _deviation(expected, computed) -> float:
 
 
 @dataclass(frozen=True)
-class PaperCheckEntry:
-    """One fixture quantity: expected vs computed."""
+class PaperCheckEntry(_Report):
+    """One fixture quantity: expected vs computed; ``passed`` is written ``pass``."""
 
     fixture: str
     quantity: str
@@ -316,14 +316,9 @@ class PaperCheckEntry:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "fixture": self.fixture,
-            "quantity": self.quantity,
-            "expected": _json_value(self.expected),
-            "computed": _json_value(self.computed),
-            "abs_error": self.abs_error,
-            "pass": self.passed,
-        }
+        out = super().to_dict()
+        out["pass"] = out.pop("passed")
+        return out
 
 
 @dataclass(frozen=True)

@@ -219,16 +219,20 @@ def state_set_to_document(
     if not states:
         raise DocumentError("document needs at least one state")
     dim = states[0].dim
+    for i, s in enumerate(states):
+        if s.dim != dim:
+            raise DocumentError(f"state {i} has dimension {s.dim}, not {dim}")
     if labels is None:
         labels = [f"state_{i}" for i in range(1, len(states) + 1)]
     if len(labels) != len(states):
         raise DocumentError("one label per state required")
+    labels = [str(lab) for lab in labels]  # the reader compares labels as text
     if len(set(labels)) != len(labels):
         raise DocumentError("labels must be unique")
     return {
         "dimension": dim,
         "states": [
-            {"label": str(lab), "matrix": matrix_to_json(s.matrix)}
+            {"label": lab, "matrix": matrix_to_json(s.matrix)}
             for lab, s in zip(labels, states)
         ],
     }

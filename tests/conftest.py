@@ -1,8 +1,10 @@
 import sys
 
+import numpy as np
 import pytest
 
 from bargmann import numkernel
+from bargmann.states import validate_state
 
 
 @pytest.fixture
@@ -26,3 +28,16 @@ def scan_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+@pytest.fixture
+def near_degenerate_trio():
+    """[R, X, Y]: R's minimum eigengap 2e-8 passes ``GAP_TOL``; X and Y are
+    I/4 plus a real (X) or imaginary (Y) 0.2 in the block where R is nearly
+    degenerate, so each has gap 1.6e-17 with R but X and Y do not commute."""
+    r = np.diag([0.4, 0.3 + 2e-8, 0.3, 0.0]).astype(complex)
+    x = np.eye(4, dtype=complex) / 4
+    x[1, 2] = x[2, 1] = 0.2
+    y = np.eye(4, dtype=complex) / 4
+    y[1, 2], y[2, 1] = 0.2j, -0.2j
+    return [validate_state(r / np.trace(r).real), validate_state(x), validate_state(y)]

@@ -9,6 +9,7 @@ from bargmann.exceptions import DocumentError
 from bargmann.fixtures import fixture
 from bargmann.states import (
     commuting_set,
+    maximally_mixed,
     purity,
     qubit_from_bloch,
     random_state,
@@ -296,6 +297,17 @@ def test_coherence_gap_tol_is_the_reference_requirement(fixture_file, capsys):
     assert "degenerate" in captured.err
 
 
+def test_coherence_refuses_a_reduced_verdict_it_cannot_certify(near_degenerate_trio, tmp_path,
+                                                              capsys):
+    # the reference passes --gap-tol, but its gap 2e-8 cannot certify set_incoherent
+    path = tmp_path / "trio.json"
+    bio.save_state_set(path, near_degenerate_trio)
+    assert main(["coherence", str(path), "--reference", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "degenerate" in captured.err
+
+
 def _near_collinear_qubits(path):
     # pauli Gram eigenvalues 0.5 and 5e-7: rank 2 unless the cutoff passes 1e-6
     bio.save_state_set(path, [qubit_from_bloch((0, 0, 0.5)), qubit_from_bloch((1e-3, 0, 0.5))])
@@ -335,13 +347,15 @@ _RANDOM = {
         ("coherence", "commuting", ["--tol", "nan"]),
         ("coherence", "commuting", ["--tol", "inf"]),
         ("coherence", "commuting", ["--tol=-1e-300"]),
+        ("coherence", "commuting", ["--tol", "abc"]),
         ("coherence", "c4_quartet", ["--reference", "1", "--gap-tol=-1"]),
         ("gram", "ginibre_qubits", ["--tol", "nan"]),
         ("qubit-check", "trine", ["--tol", "nan"]),
         ("facets", "trine", ["--tol", "nan"]),
         ("imaginarity", "mub_trio", ["--tol", "inf"]),
     ],
-    ids=["coherence-nan", "coherence-inf", "coherence-negative", "coherence-gap-tol-negative",
+    ids=["coherence-nan", "coherence-inf", "coherence-negative", "coherence-not-a-number",
+         "coherence-gap-tol-negative",
          "gram-nan", "qubit-check-nan", "facets-nan", "imaginarity-inf"],
 )
 def test_tolerances_that_decide_nothing_are_usage_errors(command, document, tol_args,
@@ -462,9 +476,14 @@ _HALF = validate_state(np.eye(2, dtype=complex) / 2)
          "one label per state required"),
         (lambda: bio.state_set_to_document([_HALF, _HALF], labels=["a", "a"]),
          "labels must be unique"),
+        (lambda: bio.state_set_to_document([_HALF, _HALF], labels=[1, "1"]),
+         "labels must be unique"),
+        (lambda: bio.state_set_to_document([_HALF, maximally_mixed(3)]),
+         "state 1 has dimension 3, not 2"),
     ],
     ids=["ragged-row", "non-pair-entry", "string-entry", "non-object", "empty-states",
-         "no-matrix", "write-no-states", "write-label-count", "write-duplicate-labels"],
+         "no-matrix", "write-no-states", "write-label-count", "write-duplicate-labels",
+         "write-labels-equal-as-text", "write-mixed-dimensions"],
 )
 def test_document_error_messages(build, message):
     with pytest.raises(DocumentError) as exc:

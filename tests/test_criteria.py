@@ -28,7 +28,7 @@ from bargmann.exceptions import (
     NumericInconsistencyError,
     ShapeError,
 )
-from bargmann.fixtures import fixture
+from bargmann.fixtures import fixture, paper_check
 from bargmann.invariants import bargmann_invariant
 from bargmann.states import (
     PositiveOperator,
@@ -221,6 +221,16 @@ def test_reduced_set_coherence_degenerate_reference():
         reduced_set_coherence(states, 1)
     with pytest.raises(ValueError):
         reduced_set_coherence(states, 5)
+
+
+def test_reduced_set_coherence_refuses_an_uncertified_verdict(near_degenerate_trio):
+    assert set_coherence_decide(near_degenerate_trio).verdict == SET_COHERENT
+    with pytest.raises(DegenerateReferenceError, match="degenerate") as exc:
+        reduced_set_coherence(near_degenerate_trio, 1)
+    assert "2.000e-08" in str(exc.value)
+    # a dimension-1 reference has no gap to bound by (delta = inf): decided at tol 0
+    one = [maximally_mixed(1), maximally_mixed(1)]
+    assert reduced_set_coherence(one, 1, tol=0.0).verdict == SET_INCOHERENT
 
 
 def test_reduced_matches_full_verdict():
@@ -519,10 +529,16 @@ def test_field_reports_serialize_their_fields_in_order():
         gram_rank_criterion(quartet),
         c3_facet_check(0.25, 0.25, 0.25),
         imaginarity_witness(*fixture("mub_trio").states),
+        set_coherence_decide(quartet),
+        reduced_set_coherence(list(fixture("emc_rho_pair").states), 1),
+        *paper_check(["mub_trio"]).entries,
     ]
     for rep in reports:
         payload = rep.to_dict()
-        assert list(payload) == [f.name for f in dataclasses.fields(rep)]
+        names = [f.name for f in dataclasses.fields(rep)]
+        if getattr(rep, "reference", 0) is None:  # an unset reference is left out
+            names.remove("reference")
+        assert list(payload) == [{"passed": "pass"}.get(k, k) for k in names]
         # tuples and arrays arrive as lists, so the payload survives a round trip
         assert json.loads(json.dumps(payload, allow_nan=False)) == payload
 

@@ -96,6 +96,15 @@ def test_non_finite_numbers_raise_value_error(x, array, bad, where, data):
             encode(tree)
 
 
+def test_values_that_need_default_follow_the_stdlib():
+    tree = {"matrix": [[1.0, 0.5]], "labels": {"b", "a"}}
+    for encode in (reference, encoded):
+        with pytest.raises(TypeError):
+            encode(tree)
+    assert json.dumps(tree, cls=bio.ArrayEncoder, indent=2, default=sorted) \
+        == json.dumps(tree, indent=2, default=sorted)
+
+
 def test_regular_arrays_take_one_c_encoder_call_each(monkeypatch):
     rng = np.random.default_rng(4)
     doc = bio.state_set_to_document([random_state(3, "ginibre_mixed", rng) for _ in range(2)])
