@@ -68,7 +68,6 @@ from .numkernel import chain_product_trace, hermitian_eig
 from .states import (
     BlochVector,
     PositiveOperator,
-    SpectralProfile,
     bloch_map,
     commuting_set,
     embed,
@@ -79,7 +78,6 @@ from .states import (
     purity,
     qubit_from_bloch,
     random_state,
-    spectral_profile,
     traceless_hermitian_basis,
     validate_state,
 )

@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -100,9 +101,7 @@ def _invariant(args, ops):
 
 def _coherence(args, ops):
     if args.reference is not None:
-        report = criteria.reduced_set_coherence(
-            ops, args.reference, tol=args.tol, gap_tol=args.gap_tol
-        )
+        report = criteria.reduced_set_coherence(ops, args.reference, tol=args.tol)
     else:
         report = criteria.set_coherence_decide(ops, tol=args.tol)
     return {**report.to_dict(), "tol": args.tol}, report.verdict != criteria.SET_INCOHERENT
@@ -124,7 +123,11 @@ def _paper_check(args, _):
     names = None
     if args.fixtures is not None:
         names = [n.strip() for n in args.fixtures.split(",") if n.strip()]
-    report = fixtures.paper_check(names)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        report = fixtures.paper_check(names)
+    for w in caught:  # one line each, not the source path and line warn() prints
+        print(f"warning: {w.message}", file=sys.stderr)
     return report.to_json(), not report.passed
 
 
@@ -183,8 +186,6 @@ COMMANDS = {
         _tol(criteria.COMMUTE_TOL),
         _arg("--reference", type=int, default=None,
              help="1-based label of a non-degenerate reference state (reduced mode)"),
-        _arg("--gap-tol", type=_tolerance, default=states.GAP_TOL,
-             help="minimal spectral gap required of the reference"),
     )),
     "estimate": Command("shot-based estimate of one invariant", _estimate, (
         _arg("--word", required=True),

@@ -30,14 +30,7 @@ from .exceptions import (
     ShapeError,
 )
 from .invariants import bargmann_invariant
-from .states import (
-    GAP_TOL,
-    BlochVector,
-    PositiveOperator,
-    as_matrix,
-    purity,
-    spectral_profile,
-)
+from .states import BlochVector, PositiveOperator, as_matrix, purity
 
 __all__ = [
     "COMMUTE_TOL",
@@ -123,7 +116,7 @@ class CoherenceReport(_Report):
     """Pairwise gap table and overall verdict for a state collection.
 
     ``mode`` is ``"full"`` (all n(n-1)/2 pairs) or ``"reduced"`` (only the
-    n-1 pairs against a non-degenerate reference, recorded in ``reference``).
+    n-1 pairs against one reference, recorded in ``reference``).
     ``invariant_count`` counts the fourth-order invariants evaluated (two per
     pair).
     """
@@ -225,23 +218,22 @@ def set_coherence_decide(
 
 
 def reduced_set_coherence(
-    states: list[PositiveOperator],
-    ref_index: int,
-    tol: float = COMMUTE_TOL,
-    gap_tol: float = GAP_TOL,
+    states: list[PositiveOperator], ref_index: int, tol: float = COMMUTE_TOL
 ) -> CoherenceReport:
-    """Reduced decision against a reference with fully non-degenerate spectrum.
+    """Reduced decision: only the n-1 pairs against one reference state.
 
-    When one state has no repeated eigenvalues, commuting with it forces all
-    states onto its eigenbasis, so the n-1 pairs against it decide the whole
-    collection with 2(n-1) invariants instead of n(n-1).
+    When the reference has no repeated eigenvalues, commuting with it forces
+    all states onto its eigenbasis, so the n-1 pairs against it decide the
+    whole collection with 2(n-1) invariants instead of n(n-1).
 
-    A set_incoherent verdict needs a certificate from the reference's minimum
-    adjacent eigenvalue gap delta.  In its eigenbasis R = diag(r),
+    A set_coherent verdict is certified by its non-commuting pair.  A
+    set_incoherent verdict is certified by the reference's minimum adjacent
+    eigenvalue gap delta.  In its eigenbasis R = diag(r),
     ||[R, X]||_F^2 = sum_ij (r_i - r_j)^2 |X_ij|^2 >= delta^2 ||offdiag X||_F^2,
-    so ||offdiag X||_F^2 <= 2 gap(R, X) / delta^2.  When that bound, taken at
-    the largest pair gap, exceeds ``tol``, :class:`DegenerateReferenceError` is
-    raised.  A dimension-1 reference has delta = inf, hence bound 0.
+    so ||offdiag X||_F^2 <= 2 gap(R, X) / delta^2.  On an all-commuting set
+    of two or more states, :class:`DegenerateReferenceError` is raised when
+    delta = 0 or 2 (largest gap) / delta^2 > ``tol``.  A dimension-1
+    reference has delta = inf, hence bound 0.
 
     Parameters
     ----------
@@ -249,24 +241,19 @@ def reduced_set_coherence(
     ref_index : int
         1-based label of the reference state.
     tol : float
-        Pair-gap commutativity threshold.
-    gap_tol : float
-        Minimal adjacent eigenvalue gap the reference must exceed.
+        Pair-gap commutativity threshold, and the bound the certificate must meet.
     """
     n = len(states)
     if not 1 <= ref_index <= n:
         raise ValueError(f"reference index {ref_index} out of range for {n} states")
-    profile = spectral_profile(states[ref_index - 1], gap_tol=gap_tol)
-    if not profile.non_degenerate:
-        raise DegenerateReferenceError(
-            f"reference state {ref_index} has degenerate spectrum "
-            f"(min adjacent gap {profile.min_gap:.3e} <= {gap_tol:.1e})"
-        )
     pairs = [(ref_index, k) for k in range(1, n + 1) if k != ref_index]
     report = _decide(states, pairs, tol, "reduced", ref_index)
-    if report.verdict == SET_INCOHERENT:
-        delta = profile.min_gap
-        bound = 2 * max((p.gap for p in report.pairs), default=0.0) / delta / delta
+    if report.verdict == SET_INCOHERENT and n > 1:
+        w = states[ref_index - 1].eigenvalues
+        delta = float(np.min(np.diff(w))) if w.shape[0] > 1 else math.inf
+        max_gap = max((p.gap for p in report.pairs), default=0.0)
+        # Python floats overflow to inf rather than raise, so a tiny delta is safe.
+        bound = 2 * max_gap / delta / delta if delta > 0 else math.inf
         if bound > tol:
             raise DegenerateReferenceError(
                 f"reference state {ref_index} is too near degenerate to certify the verdict: "

@@ -48,9 +48,10 @@ class EstimatorConfig:
     settings: str = "real_and_imag"
 
     def __post_init__(self):
-        if self.shots_per_setting < 1:
+        # numpy's binomial sampler takes a signed 64-bit count.
+        if not 1 <= self.shots_per_setting < 2**63:
             raise ValueError(
-                f"shots_per_setting must be >= 1, got {self.shots_per_setting}"
+                f"shots_per_setting must be in [1, 2**63), got {self.shots_per_setting}"
             )
         if self.settings not in SETTINGS:
             raise ValueError(

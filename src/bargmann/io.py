@@ -266,6 +266,8 @@ def load_state_set(path) -> StateSet:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
+        except RecursionError:
+            raise DocumentError(f"JSON in {path} is nested too deeply to parse") from None
     return state_set_from_document(doc)
 
 

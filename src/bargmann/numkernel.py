@@ -9,6 +9,7 @@ product loop.  Dimensions of a few hundred are the intended operating range.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,14 +54,22 @@ def as_complex_matrix(a: "np.ndarray | Iterable") -> np.ndarray:
 
 def as_hermitian_matrix(a: "np.ndarray | Iterable") -> np.ndarray:
     """:func:`as_complex_matrix`, require ``max |A - A†| <= HERM_TOL`` entrywise,
-    and return the exactly Hermitian part ``(A + A†)/2``."""
+    and return the exactly Hermitian part ``(A + A†)/2``.
+
+    Entries past half the double range can overflow that check, which then
+    raises :class:`NumericError`."""
     m = as_complex_matrix(a)
-    dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > HERM_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = (m + m.conj().T) / 2.0
+        # max |A - A†|/2; not finite wherever sym overflows.
+        half_dev = float(np.max(np.abs(m - sym)))
+    if not math.isfinite(half_dev):
+        raise NumericError("entries past half the double range overflow (A ± A†)/2")
+    if 2 * half_dev > HERM_TOL:
         raise HermiticityError(
-            f"matrix is not Hermitian: max |A - A†| = {dev:.3e} > {HERM_TOL:.3e}"
+            f"matrix is not Hermitian: max |A - A†| = {2 * half_dev:.3e} > {HERM_TOL:.3e}"
         )
-    return (m + m.conj().T) / 2.0
+    return sym
 
 
 def chain_product_trace(matrices: Sequence[np.ndarray]) -> complex:
@@ -110,11 +119,16 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns
     -------
     (np.ndarray, np.ndarray)
-        The Hermitian part ``(A + A†)/2`` and its real eigenvalues, ascending.
+        The Hermitian part ``(A + A†)/2`` and its real eigenvalues, ascending;
+        a spectrum past the double range raises :class:`NumericError`.
     """
     sym = as_hermitian_matrix(a)
     try:
         w = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"Hermitian eigensolver failed to converge: {exc}") from exc
+    # LAPACK rescales a large finite matrix's sorted spectrum, so an overflow
+    # lands at its ends.
+    if not (math.isfinite(w[0]) and math.isfinite(w[-1])):
+        raise NumericError("spectrum overflows the double range")
     return sym, w

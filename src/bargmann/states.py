@@ -1,4 +1,4 @@
-"""Validated positive operators, Bloch-vector maps, spectra, and random ensembles.
+"""Validated positive operators, Bloch-vector maps, and random ensembles.
 
 States are wrapped in :class:`PositiveOperator`, which records the trace, a
 normalization flag, and the spectrum found by :func:`validate_state`, the one
@@ -8,12 +8,13 @@ only a strictly positive trace and positive semidefiniteness are mandatory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exceptions import NormalizationError, PositivityError, ShapeError, TraceError
+from .exceptions import NormalizationError, NumericError, PositivityError, ShapeError, TraceError
 from .numkernel import HERM_TOL, as_hermitian_matrix, hermitian_eig
 
 __all__ = [
@@ -26,7 +27,6 @@ __all__ = [
     "PAULI_Z",
     "PositiveOperator",
     "BlochVector",
-    "SpectralProfile",
     "validate_state",
     "require_normalized",
     "as_matrix",
@@ -38,7 +38,6 @@ __all__ = [
     "traceless_hermitian_basis",
     "bloch_map",
     "qubit_from_bloch",
-    "spectral_profile",
     "haar_unitary",
     "random_state",
     "commuting_set",
@@ -49,6 +48,9 @@ __all__ = [
 # accumulation error at the target dimensions (d <= a few hundred).
 PSD_TOL = 1e-10
 NORM_TOL = 1e-9
+# Eigengap at or below which perfbench accepts a reduced-mode refusal.  No
+# decision in this package reads it: reduced mode is decided by its
+# certificate alone (criteria.reduced_set_coherence).
 GAP_TOL = 1e-8
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -109,7 +111,10 @@ def validate_state(matrix: np.ndarray) -> PositiveOperator:
         raise PositivityError(
             f"state has negative eigenvalue {lo:.6e} (tolerance {PSD_TOL:.1e})"
         )
-    tr = float(np.trace(m).real)
+    with np.errstate(over="ignore"):
+        tr = float(np.trace(m).real)
+    if not math.isfinite(tr):
+        raise NumericError(f"state trace overflows the double range: {tr}")
     if tr <= 0:
         raise TraceError(f"state trace must be positive, got {tr:.6e}")
     return PositiveOperator(
@@ -293,35 +298,6 @@ def qubit_from_bloch(r: Sequence[float]) -> PositiveOperator:
     # |r| <= 1 + 1e-12 keeps both eigenvalues (1 -+ |r|)/2 above about -5e-13,
     # well inside PSD_TOL.
     return validate_state(m)
-
-
-# --------------------------------------------------------------------------
-# Spectral profiling
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpectralProfile:
-    """Eigenvalues of a state plus its smallest adjacent spectral gap."""
-
-    eigenvalues: np.ndarray
-    min_gap: float
-    non_degenerate: bool
-
-
-def spectral_profile(rho: PositiveOperator, gap_tol: float = GAP_TOL) -> SpectralProfile:
-    """Spectrum of a state and whether it is fully non-degenerate.
-
-    The spectrum is the one found by :func:`validate_state`.
-    ``non_degenerate`` is True iff every adjacent eigenvalue gap exceeds
-    ``gap_tol``; dimension-1 states are trivially non-degenerate.
-    """
-    w = rho.eigenvalues
-    min_gap = float(np.min(np.diff(w))) if w.shape[0] > 1 else np.inf
-    return SpectralProfile(
-        eigenvalues=w,
-        min_gap=min_gap,
-        non_degenerate=bool(min_gap > gap_tol),
-    )
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bargmann import numkernel
-from bargmann.states import validate_state
+from bargmann.states import haar_unitary, validate_state
 
 
 @pytest.fixture
@@ -32,12 +32,24 @@ def scan_calls(monkeypatch):
 
 @pytest.fixture
 def near_degenerate_trio():
-    """[R, X, Y]: R's minimum eigengap 2e-8 passes ``GAP_TOL``; X and Y are
-    I/4 plus a real (X) or imaginary (Y) 0.2 in the block where R is nearly
-    degenerate, so each has gap 1.6e-17 with R but X and Y do not commute."""
+    """[R, X, Y]: R's minimum eigengap is 2e-8; X and Y are I/4 plus a real (X)
+    or imaginary (Y) 0.2 in the block where R is nearly degenerate, so each
+    has gap 1.6e-17 with R, too large for that eigengap to certify, but X and
+    Y do not commute."""
     r = np.diag([0.4, 0.3 + 2e-8, 0.3, 0.0]).astype(complex)
     x = np.eye(4, dtype=complex) / 4
     x[1, 2] = x[2, 1] = 0.2
     y = np.eye(4, dtype=complex) / 4
     y[1, 2], y[2, 1] = 0.2j, -0.2j
     return [validate_state(r / np.trace(r).real), validate_state(x), validate_state(y)]
+
+
+@pytest.fixture
+def near_degenerate_commuting():
+    """[R, X, Y], diagonal in one Haar basis: R's minimum eigengap is 5e-9,
+    and the pair gaps (below 1e-32) certify set incoherence, as
+    2 * 1e-32 / (5e-9)^2 is about 1e-15, far under ``COMMUTE_TOL``."""
+    rng = np.random.default_rng(0)
+    u = haar_unitary(4, rng)
+    spectra = [np.array([0.4, 0.3 + 5e-9, 0.3, 0.0]), *rng.dirichlet(np.ones(4), size=2)]
+    return [validate_state((u * (w / w.sum())) @ u.conj().T) for w in spectra]

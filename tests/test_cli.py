@@ -73,7 +73,7 @@ def test_coherence_exit_codes(fixture_file, capsys, tmp_path):
     assert main(["coherence", str(bad)]) == 2
 
 
-def test_coherence_reduced_mode(fixture_file, capsys):
+def test_coherence_reduced_mode(fixture_file, tmp_path, capsys):
     code, payload = run_json(
         capsys, ["coherence", fixture_file("emc_rho_pair"), "--reference", "1"]
     )
@@ -81,9 +81,19 @@ def test_coherence_reduced_mode(fixture_file, capsys):
     assert payload["mode"] == "reduced"
     assert payload["reference"] == 1
 
-    # fully degenerate reference is an operational error
-    code = main(["coherence", fixture_file("c4_quartet"), "--reference", "1"])
-    assert code == 2
+    # a fully degenerate reference (delta = 0) needs no certificate for a
+    # non-commuting pair: set_coherent, as in full mode
+    argv = ["coherence", fixture_file("c4_quartet"), "--reference", "1"]
+    code, payload = run_json(capsys, argv)
+    assert (code, payload["verdict"], payload["mode"]) == (1, "set_coherent", "reduced")
+
+    # but cannot certify an all-commuting set: an operational error
+    path = tmp_path / "flat.json"
+    bio.save_state_set(path, [maximally_mixed(2), qubit_from_bloch((0, 0, 0.4))])
+    assert main(["coherence", str(path), "--reference", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "degenerate" in captured.err
 
 
 def test_estimate_command(fixture_file, capsys):
@@ -147,6 +157,13 @@ def test_paper_check_command(capsys, tmp_path):
     assert {row["fixture"] for row in report} == {"trine"}
 
     assert main(["paper-check", "--fixtures", "unknown_thing"]) == 2
+    capsys.readouterr()
+
+    # an empty filter passes vacuously, with one warning line and no source path
+    assert main(["paper-check", "--fixtures", ""]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "[]\n"
+    assert captured.err == "warning: no fixtures selected; check passes vacuously\n"
 
 
 def test_random_round_trip(tmp_path, capsys):
@@ -285,27 +302,24 @@ def test_estimate_real_only_settings(fixture_file, capsys):
     assert payload["stderr_re"] > 0
 
 
-def test_coherence_gap_tol_is_the_reference_requirement(fixture_file, capsys):
-    # reference 1 is diag(1/2, 3/8, 1/8, 0): its minimum spectral gap is 1/8
-    path = fixture_file("emc_rho_pair")
-    code, payload = run_json(capsys, ["coherence", path, "--reference", "1", "--gap-tol", "0.1"])
-    assert code == 1
-    assert payload["mode"] == "reduced"
-    assert main(["coherence", path, "--reference", "1", "--gap-tol", "0.2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "degenerate" in captured.err
-
-
 def test_coherence_refuses_a_reduced_verdict_it_cannot_certify(near_degenerate_trio, tmp_path,
                                                               capsys):
-    # the reference passes --gap-tol, but its gap 2e-8 cannot certify set_incoherent
+    # the reference's eigengap 2e-8 cannot certify set_incoherent
     path = tmp_path / "trio.json"
     bio.save_state_set(path, near_degenerate_trio)
     assert main(["coherence", str(path), "--reference", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "degenerate" in captured.err
+
+
+def test_coherence_certifies_a_near_degenerate_reference(near_degenerate_commuting, tmp_path,
+                                                         capsys):
+    # the reference's eigengap 5e-9 is small, but certifies these gaps below 1e-32
+    path = tmp_path / "near.json"
+    bio.save_state_set(path, near_degenerate_commuting)
+    code, payload = run_json(capsys, ["coherence", str(path), "--reference", "1"])
+    assert (code, payload["verdict"], payload["mode"]) == (0, "set_incoherent", "reduced")
 
 
 def _near_collinear_qubits(path):
@@ -348,14 +362,12 @@ _RANDOM = {
         ("coherence", "commuting", ["--tol", "inf"]),
         ("coherence", "commuting", ["--tol=-1e-300"]),
         ("coherence", "commuting", ["--tol", "abc"]),
-        ("coherence", "c4_quartet", ["--reference", "1", "--gap-tol=-1"]),
         ("gram", "ginibre_qubits", ["--tol", "nan"]),
         ("qubit-check", "trine", ["--tol", "nan"]),
         ("facets", "trine", ["--tol", "nan"]),
         ("imaginarity", "mub_trio", ["--tol", "inf"]),
     ],
     ids=["coherence-nan", "coherence-inf", "coherence-negative", "coherence-not-a-number",
-         "coherence-gap-tol-negative",
          "gram-nan", "qubit-check-nan", "facets-nan", "imaginarity-inf"],
 )
 def test_tolerances_that_decide_nothing_are_usage_errors(command, document, tol_args,
@@ -395,21 +407,42 @@ def test_non_finite_pair_invariants_exit_2(tmp_path, capsys):
         (["invariant", "--word", "1,2"], 1e200, 3,
          "error: trace of chained product is not finite"),
         (["gram"], 1e160, 2, "error: Bloch Gram matrix is not finite"),
+        # diag(1e308, 1e308) is finite, but its Hermitian part (A + A†)/2 is not
+        (["coherence"], None, 2, "error: entries past half the double range"),
     ],
-    ids=["coherence", "imaginarity", "invariant", "gram"],
+    ids=["coherence", "imaginarity", "invariant", "gram", "hermitian-part"],
 )
 def test_overflow_is_one_error_line(argv, trace, dim, message, tmp_path, capsys):
     # numpy's overflow warnings are not printed ahead of the typed error
     # (pytest turns any RuntimeWarning into an exception)
     path = tmp_path / "huge.json"
-    rng = np.random.default_rng(3)
-    mats = [random_state(dim, "ginibre_mixed", rng).matrix for _ in range(3)]
-    bio.save_state_set(path, [validate_state(trace * m) for m in mats])
+    if trace is None:  # written as text: validate_state refuses the matrix
+        big = [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]
+        path.write_text(json.dumps({"dimension": dim, "states": [{"label": "a", "matrix": big}]}))
+    else:
+        rng = np.random.default_rng(3)
+        mats = [random_state(dim, "ginibre_mixed", rng).matrix for _ in range(3)]
+        bio.save_state_set(path, [validate_state(trace * m) for m in mats])
     assert main([argv[0], str(path), *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message)
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_inputs_out_of_range_are_one_error_line(fixture_file, tmp_path, capsys):
+    # a shot count past numpy's 64-bit sampler, and JSON nested past the
+    # parser's recursion limit, are input errors rather than tracebacks
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for argv in (
+        ["estimate", fixture_file("emc_sigma_pair"), "--word", "1,2", "--shots", str(10**19)],
+        ["coherence", str(deep)],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_reports_are_clean_json_on_stdout(fixture_file, capsys):

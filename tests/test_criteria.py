@@ -231,9 +231,13 @@ def test_reduced_set_coherence_refuses_an_uncertified_verdict(near_degenerate_tr
     # a dimension-1 reference has no gap to bound by (delta = inf): decided at tol 0
     one = [maximally_mixed(1), maximally_mixed(1)]
     assert reduced_set_coherence(one, 1, tol=0.0).verdict == SET_INCOHERENT
+    # a lone state has no other state to bound, so even delta = 0 decides
+    assert reduced_set_coherence([maximally_mixed(3)], 1).verdict == SET_INCOHERENT
 
 
 def test_reduced_matches_full_verdict():
+    # against every reference, reduced mode reads the full verdict or refuses;
+    # it refuses only a set_incoherent verdict, which needs the certificate
     rng = np.random.default_rng(43)
     for trial in range(20):
         d = int(rng.integers(2, 6))
@@ -242,18 +246,23 @@ def test_reduced_matches_full_verdict():
             states = commuting_set(d, n, rng)
         else:
             states = [random_state(d, "ginibre_mixed", rng) for _ in range(n)]
-        ref = None
-        from bargmann.states import spectral_profile
-
-        for i, s in enumerate(states, start=1):
-            if spectral_profile(s).non_degenerate:
-                ref = i
-                break
-        if ref is None:
-            continue
         full = set_coherence_decide(states)
-        reduced = reduced_set_coherence(states, ref)
-        assert reduced.verdict == full.verdict
+        for ref in range(1, n + 1):
+            try:
+                reduced = reduced_set_coherence(states, ref)
+            except DegenerateReferenceError:
+                assert full.verdict == SET_INCOHERENT
+                continue
+            assert reduced.verdict == full.verdict
+
+
+def test_reduced_set_coherence_certifies_a_near_degenerate_reference(near_degenerate_commuting):
+    # reference eigengap 5e-9: small, but 2 * max gap / delta^2 is far below tol
+    delta = np.min(np.diff(near_degenerate_commuting[0].eigenvalues))
+    assert delta == pytest.approx(5e-9, rel=1e-6)
+    rep = reduced_set_coherence(near_degenerate_commuting, 1)
+    assert rep.verdict == SET_INCOHERENT
+    assert rep.verdict == set_coherence_decide(near_degenerate_commuting).verdict
 
 
 def test_decisions_do_not_rescan_validated_states(scan_calls):

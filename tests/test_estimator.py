@@ -11,6 +11,8 @@ from bargmann.states import commuting_set, pure_state, random_state, validate_st
 def test_config_validation():
     with pytest.raises(ValueError):
         EstimatorConfig(shots_per_setting=0)
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        EstimatorConfig(shots_per_setting=2**63)
     with pytest.raises(ValueError):
         EstimatorConfig(shots_per_setting=10, settings="sideways")
     with pytest.raises(ValueError):

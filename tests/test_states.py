@@ -4,6 +4,7 @@ import pytest
 from bargmann.criteria import commutator_gap
 from bargmann.exceptions import (
     HermiticityError,
+    NumericError,
     PositivityError,
     ShapeError,
     TraceError,
@@ -20,7 +21,6 @@ from bargmann.states import (
     purity,
     qubit_from_bloch,
     random_state,
-    spectral_profile,
     traceless_hermitian_basis,
     validate_state,
 )
@@ -175,18 +175,20 @@ def test_pauli_norm_bound():
         assert np.linalg.norm(bloch_map(rho, "pauli").components) <= 1 + 1e-10
 
 
-def test_spectral_profile():
-    emc = validate_state(np.diag([1 / 2, 3 / 8, 1 / 8, 0]).astype(complex))
-    prof = spectral_profile(emc)
-    assert prof.min_gap == pytest.approx(1 / 8, abs=1e-14)
-    assert prof.non_degenerate
-
-    prof = spectral_profile(maximally_mixed(2))
-    assert prof.min_gap == pytest.approx(0.0, abs=1e-14)
-    assert not prof.non_degenerate
-
-    sigma2 = validate_state(np.diag([11 / 30, 2 / 15, 11 / 30, 2 / 15]).astype(complex))
-    assert not spectral_profile(sigma2).non_degenerate
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (np.diag([1e308, 1e308]), "half the double range"),
+        (np.full((4, 4), 8.9e307) - np.diag([8.9e307] * 4), "spectrum"),
+        (np.diag([8.9e307] * 3), "trace"),
+    ],
+    ids=["hermitian-part", "spectrum", "trace"],
+)
+def test_validate_state_refuses_what_overflows(matrix, message):
+    # finite entries whose (A + A†)/2, eigenvalues or trace pass the double
+    # range: a typed error, and no numpy warning (pytest makes one an error)
+    with pytest.raises(NumericError, match=message):
+        validate_state(matrix)
 
 
 def test_random_state_properties():
