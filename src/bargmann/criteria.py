@@ -135,6 +135,65 @@ class CoherenceReport(_Report):
         return out
 
 
+# Bytes of one chunk's product stack M_k = A B_k, (k, d, d) complex.  From
+# the layer timings: a chunk is about ten numpy calls, some 20 µs of fixed
+# cost at any d, while a d=4 product inside a batch costs under 1 µs, so a
+# chunk should hold a few hundred small products.  Its working set is about
+# four such stacks (the B slice, M, conj(M) and C = M - M†), which at 64 KiB
+# each stays within a 256 KiB L2 cache.  That is 256 pairs at d=4, 64 at d=8,
+# 4 at d=32 and one at d >= 64, where one product (16 d^2 bytes) fills the
+# budget and its matmul (about 50 µs at d=64) outweighs the fixed cost, so
+# large d costs what one pair at a time did.
+_CHUNK_BYTES = 64 * 1024
+
+
+def _pair_gaps(a, bs, tol, l, ks) -> list[PairGap]:
+    """:class:`PairGap` of A with each operator of the stack ``bs``, (k, d, d),
+    in order; the pairs are labelled (``l``, k) for k in ``ks``.
+
+    Each M = A B gives ``delta_llkk = tr(A^2 B^2) = ||M||_F^2``, the gap
+    ``1/2 ||C||_F^2`` with C = M - M† = [A, B], and
+    ``delta_lklk = tr(ABAB) = <M†, M> = ||M||_F^2 - <C, M>``: one batched
+    product, then one row-wise dot product per column, all over contiguous
+    stacks.  The first failing pair raises: :class:`NumericError` on a
+    non-finite tr(A^2 B^2) or gap (overflow), :class:`NumericInconsistencyError`
+    on |Im tr(ABAB)| above ``IM_ERROR_TOL ||A||_F^2 ||B||_F^2``.
+    """
+    m = a @ bs
+    c = m - m.conj().swapaxes(1, 2)
+    m, c = m.reshape(len(bs), -1), c.reshape(len(bs), -1)
+    mf, cf = m.view(float), c.view(float)
+    llkk = np.vecdot(mf, mf)
+    gap = 0.5 * np.vecdot(cf, cf)
+    lklk = llkk - np.vecdot(c, m)  # vecdot conjugates its first argument
+    llkk, gap, re, im = llkk.tolist(), gap.tolist(), lklk.real.tolist(), lklk.imag.tolist()
+    # Both are >= 0, so their sum is finite if both are (or overflows, which
+    # the per-pair tests below let pass).
+    if not (math.isfinite(sum(llkk) + sum(gap))
+            and all(abs(y) <= IM_ERROR_TOL * x for x, y in zip(llkk, im))):
+        for j, k in enumerate(ks):
+            if not (math.isfinite(llkk[j]) and math.isfinite(gap[j])):
+                raise NumericError(f"pair invariants are not finite: tr(A^2 B^2) = {llkk[j]}, "
+                                   f"gap = {gap[j]} for pair ({l}, {k})")
+            # Rounding in M scales with ||A||_F ||B||_F even where M cancels
+            # (orthogonal A, B); as llkk <= ||A||_F^2 ||B||_F^2, the norms are
+            # needed only past llkk.
+            if abs(im[j]) > IM_ERROR_TOL * llkk[j] and \
+                    abs(im[j]) > IM_ERROR_TOL * np.vdot(a, a).real * np.vdot(bs[j], bs[j]).real:
+                raise NumericInconsistencyError(f"tr(ABAB) should be real, found imaginary "
+                                                f"part {im[j]:.3e} for pair ({l}, {k})")
+    return list(map(PairGap, zip(itertools.repeat(l), ks), llkk, re, gap,
+                    [g <= tol for g in gap]))
+
+
+def _same_dim(op, a: np.ndarray) -> np.ndarray:
+    """:func:`as_matrix` of ``op``, which must have the dimension of ``a``."""
+    b = as_matrix(op)
+    if b.shape != a.shape:
+        raise ShapeError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    return b
+
+
 def commutator_gap(
     op1: "PositiveOperator | np.ndarray",
     op2: "PositiveOperator | np.ndarray",
@@ -143,8 +202,9 @@ def commutator_gap(
 ) -> PairGap:
     """Decide commutativity of a pair from two fourth-order traces.
 
-    One product M = AB gives ``delta_llkk = tr(A^2 B^2) = ||M||_F^2``,
-    ``delta_lklk = tr(ABAB) = sum_ij M_ij M_ji`` and
+    The one-pair call of the pair kernel that :func:`set_coherence_decide`
+    runs over chunks of pairs.  One product M = AB gives
+    ``delta_llkk = tr(A^2 B^2) = ||M||_F^2``, ``delta_lklk = tr(ABAB)`` and
     ``gap = 1/2 ||M - M†||_F^2``; the pair commutes iff the two traces agree,
     i.e. iff the gap vanishes.  Positivity of the inputs is not required: the
     identity holds for arbitrary Hermitian operators.  |Im tr(ABAB)| above
@@ -161,45 +221,39 @@ def commutator_gap(
     indices : tuple of int
         1-based labels recorded in the result.
     """
-    a, b = as_matrix(op1), as_matrix(op2)
-    if a.shape != b.shape:
-        raise ShapeError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    m = a @ b
-    m_h = m.conj().T  # = BA
-    c = m - m_h
-    gap = 0.5 * float(np.vdot(c, c).real)
-    llkk = float(np.vdot(m, m).real)
-    if not (math.isfinite(llkk) and math.isfinite(gap)):
-        raise NumericError(
-            f"pair invariants are not finite: tr(A^2 B^2) = {llkk}, gap = {gap}"
-        )
-    lklk = complex(np.vdot(m_h, m))  # vdot conjugates m_h back: sum_ij M_ji M_ij
-    # Rounding in M scales with ||A||_F ||B||_F even where M cancels (orthogonal
-    # A, B); as llkk <= ||A||_F^2 ||B||_F^2, the norms are needed only past llkk.
-    im = abs(lklk.imag)
-    if im > IM_ERROR_TOL * llkk and im > IM_ERROR_TOL * np.vdot(a, a).real * np.vdot(b, b).real:
-        raise NumericInconsistencyError(
-            f"tr(ABAB) should be real, found imaginary part {lklk.imag:.3e}"
-        )
-    return PairGap(
-        indices=(int(indices[0]), int(indices[1])),
-        delta_llkk=llkk,
-        delta_lklk=lklk.real,
-        gap=gap,
-        commutes=bool(gap <= tol),
-    )
+    a = as_matrix(op1)
+    b = _same_dim(op2, a)
+    return _pair_gaps(a, b[None], tol, int(indices[0]), (int(indices[1]),))[0]
 
 
-def _decide(states, index_pairs, tol, mode, reference) -> CoherenceReport:
-    """Gap of every 1-based (l, k) pair, the verdict and the report."""
-    pairs = tuple(
-        commutator_gap(states[l - 1], states[k - 1], tol=tol, indices=(l, k))
-        for l, k in index_pairs
-    )
+def _decide(states, anchor, runs, tol, mode, reference) -> CoherenceReport:
+    """Gaps of the pairs in ``runs``, the verdict and the report.
+
+    ``runs`` lists 0-based (l, k0, k1): the pairs (l, k) for k0 <= k < k1, in
+    pair order.  Each state's matrix is taken once, the ``anchor`` (the first
+    state of the first pair) first, and every other is checked against its
+    dimension as it is taken, so an input error names what the first failing
+    pair would.  Each run goes through :func:`_pair_gaps` in chunks of at
+    most ``_CHUNK_BYTES // (16 d^2)`` pairs (the budget is derived where it
+    is defined), as basic slices of one stack of the states; at d >= 64 a
+    chunk is one pair and no stack is built.
+    """
+    n = len(states)
+    pairs = []
+    if n > 1:
+        a = as_matrix(states[anchor])
+        mats = [a if k == anchor else _same_dim(states[k], a) for k in range(n)]
+        size = max(1, _CHUNK_BYTES // (16 * a.size))
+        x = np.stack(mats) if size > 1 else None
+        for l, k0, k1 in runs:
+            for s in range(k0, k1, size):
+                t = min(s + size, k1)
+                bs = x[s:t] if x is not None else mats[s][None]
+                pairs += _pair_gaps(mats[l], bs, tol, l + 1, range(s + 1, t + 1))
     verdict = SET_INCOHERENT if all(p.commutes for p in pairs) else SET_COHERENT
     return CoherenceReport(
-        n=len(states),
-        pairs=pairs,
+        n=n,
+        pairs=tuple(pairs),
         verdict=verdict,
         mode=mode,
         reference=reference,
@@ -214,7 +268,7 @@ def set_coherence_decide(
     n = len(states)
     if n < 1:
         raise ValueError("need at least one state")
-    return _decide(states, itertools.combinations(range(1, n + 1), 2), tol, "full", None)
+    return _decide(states, 0, [(l, l + 1, n) for l in range(n - 1)], tol, "full", None)
 
 
 def reduced_set_coherence(
@@ -237,7 +291,9 @@ def reduced_set_coherence(
 
     Parameters
     ----------
-    states : list of PositiveOperator
+    states : list of PositiveOperator or Hermitian array_like
+        A raw reference's spectrum, if the certificate needs it, is taken
+        from its Hermitian part.
     ref_index : int
         1-based label of the reference state.
     tol : float
@@ -246,10 +302,12 @@ def reduced_set_coherence(
     n = len(states)
     if not 1 <= ref_index <= n:
         raise ValueError(f"reference index {ref_index} out of range for {n} states")
-    pairs = [(ref_index, k) for k in range(1, n + 1) if k != ref_index]
-    report = _decide(states, pairs, tol, "reduced", ref_index)
+    r = ref_index - 1
+    report = _decide(states, r, [(r, 0, r), (r, r + 1, n)], tol, "reduced", ref_index)
     if report.verdict == SET_INCOHERENT and n > 1:
-        w = states[ref_index - 1].eigenvalues
+        ref = states[r]
+        w = ref.eigenvalues if isinstance(ref, PositiveOperator) else \
+            np.linalg.eigvalsh(as_matrix(ref))
         delta = float(np.min(np.diff(w))) if w.shape[0] > 1 else math.inf
         max_gap = max((p.gap for p in report.pairs), default=0.0)
         # Python floats overflow to inf rather than raise, so a tiny delta is safe.

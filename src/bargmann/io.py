@@ -21,14 +21,24 @@ stdlib encodes in pure Python, one scalar at a time, and on a d=256 document
 that takes two to three times as long as the C encoder's compact text.  So
 each regular numeric nested list (a matrix, a Gram matrix, an eigenvalue
 list) is encoded compactly by the C encoder in one call, and only the line
-breaks and indents are put back, from its shape.  Every scalar's text still
-comes from the value itself, so ints, booleans and float ``repr`` are kept.
+breaks and indents are put back, from its shape.  A record list (a list of
+dicts with the same ``str`` keys in the same order, such as a ``coherence``
+pair table) is written column by column when each key's values share one
+exact type: ``float``, ``int``, ``bool``, ``str``, ``None``, or lists of
+exact ints of one length.  Each float or int column (an int-list column
+flattened) is one compact C-encoder call, split on ``,``, and the columns'
+texts are interleaved with the keys into the per-record layout.  Anything
+else (a ragged record, a mixed-type column, a subclass, a non-``str`` key)
+is walked value by value.  Every scalar's text still comes from the value
+itself, so ints, booleans and float ``repr`` are kept.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import Sequence
@@ -71,9 +81,38 @@ def _array_depth(x) -> int:
     return a.ndim if a.dtype.kind in "biuf" and a.size else 0
 
 
+# Record-list columns of these exact types are written without the walk; an
+# int column is one C-encoder call, like a float column.
+_SCALARS = frozenset((float, int, bool, str, type(None)))
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _record_columns(o) -> "list[tuple[type, list]] | None":
+    """(exact type, values) per key of a list of dicts with the same ``str``
+    keys in the same order, each key's values of one type in ``_SCALARS`` or
+    all ``list`` s of exact ints of one nonzero length; None if ``o`` is not
+    such a list."""
+    keys = tuple(o[0]) if type(o[0]) is dict else ()
+    if not keys or any(type(k) is not str for k in keys) or set(map(type, o)) != {dict} \
+            or not all(map(keys.__eq__, map(tuple, o))):
+        return None
+    columns = []
+    for key in keys:
+        column = list(map(operator.itemgetter(key), o))
+        kinds = set(map(type, column))
+        kind = kinds.pop()
+        if kinds or kind not in _SCALARS and not (
+                kind is list and column[0] and len(set(map(len, column))) == 1
+                and set(map(type, itertools.chain.from_iterable(column))) == {int}):
+            return None
+        columns.append((kind, column))
+    return columns
+
+
 class ArrayEncoder(json.JSONEncoder):
     """``json.JSONEncoder`` whose indented text is the stdlib's, byte for byte,
-    with each regular numeric nested list encoded by the C encoder.
+    with each regular numeric nested list encoded by the C encoder and each
+    record list written column by column.
 
     Dicts and other lists are walked here.  Anything else the walk does not
     write as ``json`` would (a non-``str`` key, a non-finite float, a value
@@ -117,6 +156,8 @@ class ArrayEncoder(json.JSONEncoder):
                 out.append("[]")
             elif depth := _array_depth(o):
                 out.append(self._array(o, depth, nl))
+            elif columns := _record_columns(o):
+                out.append(self._records(o[0], columns, nl))
             else:
                 inner = nl + self._ind
                 sep = "[" + inner
@@ -140,6 +181,37 @@ class ArrayEncoder(json.JSONEncoder):
             out.append(nl + "}")
         else:
             raise _Fallback
+
+    def _records(self, first: dict, columns: list, nl: str) -> str:
+        """The text of a list of dicts, given its first record and the
+        :func:`_record_columns` of the list, written column by column.
+
+        A float or int column is one compact C-encoder call, split on ``,``;
+        so is an int-list column, flattened, whose items are then put back
+        in lists of its one length.  The columns' texts are interleaved with
+        the keys into the record layout, derived from ``nl`` and the indent.
+        """
+        rec = nl + self._ind  # the line of each record's braces
+        val = rec + self._ind  # the line of each key
+        keys = [self._str(key) + self.key_separator for key in first]
+        n, step = len(columns[0][1]), 2 * len(keys)
+        parts = [None] * (step * n)
+        for j, (key, (kind, column)) in enumerate(zip(keys, columns)):
+            parts[2 * j::step] = [("," + val if j else rec + "}," + rec + "{" + val) + key] * n
+            if kind is float or kind is int:
+                text = _COMPACT.encode(column)[1:-1].split(",")
+            elif kind is list:
+                item = val + self._ind
+                form = "[" + item + ("," + item).join(["%s"] * len(column[0])) + val + "]"
+                flat = _COMPACT.encode(list(itertools.chain.from_iterable(column)))
+                text = [form % t for t in zip(*[iter(flat[1:-1].split(","))] * len(column[0]))]
+            elif kind is str:
+                text = list(map(self._str, column))
+            else:  # bool or None
+                text = list(map(_LITERALS.__getitem__, column))
+            parts[2 * j + 1::step] = text
+        parts[0] = "[" + rec + "{" + val + keys[0]
+        return "".join(parts) + rec + "}" + nl + "]"
 
     def _array(self, x, depth: int, nl: str) -> str:
         """The compact C text of a regular ``depth``-axis array, re-indented.

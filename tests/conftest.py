@@ -7,15 +7,10 @@ from bargmann import numkernel
 from bargmann.states import haar_unitary, validate_state
 
 
-@pytest.fixture
-def scan_calls(monkeypatch):
-    """List that grows by one per ``as_complex_matrix`` call.
-
-    The counting wrapper replaces the function under every name that binds it
-    in a ``bargmann`` module, so an import such as
-    ``from .numkernel import as_complex_matrix`` is counted too.
-    """
-    original = numkernel.as_complex_matrix
+def _counted(monkeypatch, original) -> list:
+    """List that grows by one per call of ``original``, replaced by a counting
+    wrapper under every name that binds it in a ``bargmann`` module, so an
+    import such as ``from .numkernel import as_complex_matrix`` is counted too."""
     calls = []
 
     def counting(a):
@@ -28,6 +23,18 @@ def scan_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """List that grows by one per ``as_complex_matrix`` call."""
+    return _counted(monkeypatch, numkernel.as_complex_matrix)
+
+
+@pytest.fixture
+def hermitian_calls(monkeypatch):
+    """List that grows by one per ``as_hermitian_matrix`` call."""
+    return _counted(monkeypatch, numkernel.as_hermitian_matrix)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bargmann.criteria import (
+    COMMUTE_TOL,
     SET_COHERENT,
     SET_INCOHERENT,
     c3_facet_check,
@@ -263,6 +264,90 @@ def test_reduced_set_coherence_certifies_a_near_degenerate_reference(near_degene
     rep = reduced_set_coherence(near_degenerate_commuting, 1)
     assert rep.verdict == SET_INCOHERENT
     assert rep.verdict == set_coherence_decide(near_degenerate_commuting).verdict
+
+
+def _reference_pairs(mats, pairs):
+    """(indices, tr(A^2 B^2), tr(ABAB), 1/2 ||[A, B]||_F^2, scale) per pair,
+    one pair at a time; scale is ||A||_F^2 ||B||_F^2."""
+    out = []
+    for l, k in pairs:
+        a, b = mats[l - 1], mats[k - 1]
+        comm = a @ b - b @ a
+        out.append(((l, k), np.trace(a @ a @ b @ b).real, np.trace(a @ b @ a @ b).real,
+                    0.5 * np.vdot(comm, comm).real,
+                    np.vdot(a, a).real * np.vdot(b, b).real))
+    return out
+
+
+def _random_set(rng, d, n, kind):
+    """n Hermitian PSD matrices at traces from 1e-2 to 1e2: commuting, Ginibre,
+    or commuting with one Ginibre state swapped in."""
+    if kind == "ginibre":
+        mats = [random_state(d, "ginibre_mixed", rng).matrix for _ in range(n)]
+    else:
+        mats = [s.matrix for s in commuting_set(d, n, rng)]
+        if kind == "mixed":
+            mats[rng.integers(n)] = random_state(d, "ginibre_mixed", rng).matrix
+    return [m * 10.0 ** rng.uniform(-2, 2) for m in mats]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 64])
+def test_batched_kernel_matches_a_per_pair_reference(d):
+    rng = np.random.default_rng(100 + d)
+    for trial in range(6):
+        n = int(rng.integers(2, 31 if d < 64 else 13))
+        kind = ("commuting", "ginibre", "mixed")[trial % 3]
+        mats = _random_set(rng, d, n, kind)
+        for raw in (False, True):
+            # the raw arrays are exactly Hermitian, so as_matrix keeps them as they are
+            ops = mats if raw else [validate_state(m) for m in mats]
+            ref_index = int(rng.integers(1, n + 1))
+            for mode in ("full", "reduced"):
+                if mode == "full":
+                    index_pairs = [(l, k) for l in range(1, n + 1) for k in range(l + 1, n + 1)]
+                    report = set_coherence_decide(ops)
+                else:
+                    index_pairs = [(ref_index, k) for k in range(1, n + 1) if k != ref_index]
+                    try:
+                        report = reduced_set_coherence(ops, ref_index)
+                    except DegenerateReferenceError:
+                        continue  # refused for want of a certificate, tested elsewhere
+                expected = _reference_pairs(mats, index_pairs)
+                assert [p.indices for p in report.pairs] == [e[0] for e in expected]
+                for p, (_, llkk, lklk, gap, scale) in zip(report.pairs, expected):
+                    assert abs(p.gap - gap) <= 1e-12 * scale
+                    assert abs(p.delta_llkk - llkk) <= 1e-12 * scale
+                    assert abs(p.delta_lklk - lklk) <= 1e-12 * scale
+                    assert p.commutes == (p.gap <= COMMUTE_TOL)
+                commuting = d == 1 or kind == "commuting"
+                assert report.verdict == (SET_INCOHERENT if commuting else SET_COHERENT)
+                assert report.invariant_count == 2 * len(index_pairs)
+
+
+def test_kernel_names_the_first_pair_with_an_imaginary_residue():
+    # diag(1, i) skipped validation, so tr(ABAB) with |+><+| is not real; it
+    # is state 4 and state 5, so pairs (1, 4) and (1, 5) fail, the third and
+    # fourth in pair order
+    skipped = PositiveOperator(matrix=np.diag([1.0, 1.0j]), trace=1.0, normalized=False,
+                               psd_slack=0.0, eigenvalues=np.ones(2))
+    states = [pure_state([1, 1]), pure_state([1, 0]), pure_state([0, 1]), skipped, skipped]
+    with pytest.raises(NumericInconsistencyError, match=r"for pair \(1, 4\)$"):
+        set_coherence_decide(states)
+    with pytest.raises(NumericInconsistencyError, match=r"for pair \(1, 4\)$"):
+        reduced_set_coherence(states, 1)
+    with pytest.raises(ShapeError, match="dimension mismatch: 2 vs 3"):
+        set_coherence_decide([pure_state([1, 0]), pure_state([0, 1]), maximally_mixed(3)])
+
+
+def test_raw_arrays_are_checked_once_per_state(hermitian_calls):
+    rng = np.random.default_rng(7)
+    n = 6
+    mats = [rand_hermitian(rng, 3) for _ in range(n)]
+    set_coherence_decide(mats)
+    assert len(hermitian_calls) == n
+    hermitian_calls.clear()
+    reduced_set_coherence(mats, 2)
+    assert len(hermitian_calls) == n
 
 
 def test_decisions_do_not_rescan_validated_states(scan_calls):

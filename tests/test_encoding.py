@@ -108,8 +108,9 @@ def test_values_that_need_default_follow_the_stdlib():
 def test_regular_arrays_take_one_c_encoder_call_each(monkeypatch):
     rng = np.random.default_rng(4)
     doc = bio.state_set_to_document([random_state(3, "ginibre_mixed", rng) for _ in range(2)])
-    report = {"pairs": [{"indices": [1, 2], "gap": 0.5}], "eigenvalues": [0.25, 0.75],
-              "gram": [[1.0, 0.0], [0.0, 1.0]]}
+    table = [{"indices": [1, k], "gap": 0.25 * k, "commutes": k % 2 == 0, "label": f"s{k}",
+              "note": None, "count": k} for k in range(2, 6)]
+    report = {"pairs": table, "eigenvalues": [0.25, 0.75], "gram": [[1.0, 0.0], [0.0, 1.0]]}
     calls = []
 
     class Counting(json.JSONEncoder):
@@ -124,8 +125,82 @@ def test_regular_arrays_take_one_c_encoder_call_each(monkeypatch):
     monkeypatch.setattr(bio, "_COMPACT", Counting(separators=(",", ":"), allow_nan=False))
     monkeypatch.setattr(bio.ArrayEncoder, "iterencode", no_fallback)
     assert [encoded(doc), encoded(report)] == expected
-    arrays = [s["matrix"] for s in doc["states"]] + [report["eigenvalues"], report["gram"]]
-    assert len(calls) == len(arrays) and all(c is a for c, a in zip(calls, arrays))
+    # one call per regular array, passed as it is, and one per numeric column
+    # of the pair table: its flattened indices, its gaps and its counts
+    arrays = [s["matrix"] for s in doc["states"]]
+    columns = [[x for r in table for x in r["indices"]], [r["gap"] for r in table],
+               [r["count"] for r in table]]
+    assert len(calls) == len(arrays) + len(columns) + 2
+    assert all(c is a for c, a in zip(calls, arrays))
+    assert [list(c) for c in calls[len(arrays):-2]] == columns
+    assert calls[-2] is report["eigenvalues"] and calls[-1] is report["gram"]
+
+
+COLUMNS = {"float": FLOATS, "int": st.integers(), "bool": st.booleans(), "str": TEXT,
+           "none": st.none()}
+
+
+@st.composite
+def record_lists(draw):
+    """1-60 dicts with the same keys, each key's values of one column type,
+    nested in lists and dicts to a random depth."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=5, unique=True))
+    count = draw(st.integers(1, 60))
+    columns = {}
+    for key in keys:
+        kind = draw(st.sampled_from([*COLUMNS, "ints"]))
+        if kind == "ints":
+            length = draw(st.integers(1, 4))
+            values = st.lists(st.integers(), min_size=length, max_size=length)
+        else:
+            values = COLUMNS[kind]
+        columns[key] = draw(st.lists(values, min_size=count, max_size=count))
+    records = [{k: columns[k][i] for k in keys} for i in range(count)]
+    for _ in range(draw(st.integers(0, 3))):
+        records = draw(st.sampled_from([[records], {"pairs": records}, [1.5, records]]))
+    return records
+
+
+def _perturbed(records, data):
+    """``records`` with one record made ragged, reordered, or given a value or
+    key the column path must not write itself."""
+    i = data.draw(st.integers(0, len(records) - 1))
+    r = records[i]
+    key = data.draw(st.sampled_from(list(r)))
+    how = data.draw(st.sampled_from(["ragged", "swap", "bool", "float64", "count", "nan",
+                                     "key"]))
+    if how == "ragged":
+        del r[key]
+    elif how == "swap":
+        r[key] = r.pop(key)  # moves the key to the end
+    elif how == "bool":
+        r[key] = True if type(r[key]) is int else 1
+    elif how == "float64":
+        r[key] = np.float64(0.5)
+    elif how == "count":
+        r[key] = Count(3)
+    elif how == "nan":
+        r[key] = math.nan
+    else:
+        r[data.draw(st.integers() | st.none() | st.booleans())] = r.pop(key)
+    return records
+
+
+@settings(deadline=None)
+@given(record_lists(), st.booleans(), st.data())
+def test_record_lists_match_stdlib_byte_for_byte(tree, perturb, data):
+    if perturb:
+        inner = tree
+        while not (isinstance(inner, list) and inner and isinstance(inner[0], dict)):
+            inner = inner["pairs"] if isinstance(inner, dict) else inner[-1]
+        _perturbed(inner, data)
+    try:
+        expected = reference(tree)
+    except (ValueError, TypeError) as exc:
+        with pytest.raises(type(exc)):
+            encoded(tree)
+    else:
+        assert encoded(tree) == expected
 
 
 def test_save_state_set_writes_the_stdlib_text(tmp_path):
