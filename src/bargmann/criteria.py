@@ -198,18 +198,17 @@ def commutator_gap(
     op1: "PositiveOperator | np.ndarray",
     op2: "PositiveOperator | np.ndarray",
     tol: float = COMMUTE_TOL,
-    indices: tuple[int, int] = (1, 2),
 ) -> PairGap:
     """Decide commutativity of a pair from two fourth-order traces.
 
-    The one-pair call of the pair kernel that :func:`set_coherence_decide`
-    runs over chunks of pairs.  One product M = AB gives
-    ``delta_llkk = tr(A^2 B^2) = ||M||_F^2``, ``delta_lklk = tr(ABAB)`` and
-    ``gap = 1/2 ||M - M†||_F^2``; the pair commutes iff the two traces agree,
-    i.e. iff the gap vanishes.  Positivity of the inputs is not required: the
-    identity holds for arbitrary Hermitian operators.  |Im tr(ABAB)| above
-    ``IM_ERROR_TOL ||A||_F^2 ||B||_F^2`` raises :class:`NumericInconsistencyError`;
-    a non-finite tr(A^2 B^2) or gap (overflow) raises :class:`NumericError`.
+    The one pair of :func:`set_coherence_decide` on ``[op1, op2]``, labelled
+    (1, 2).  One product M = AB gives ``delta_llkk = tr(A^2 B^2) = ||M||_F^2``,
+    ``delta_lklk = tr(ABAB)`` and ``gap = 1/2 ||M - M†||_F^2``; the pair
+    commutes iff the two traces agree, i.e. iff the gap vanishes.  Positivity
+    of the inputs is not required: the identity holds for arbitrary Hermitian
+    operators.  |Im tr(ABAB)| above ``IM_ERROR_TOL ||A||_F^2 ||B||_F^2`` raises
+    :class:`NumericInconsistencyError`; a non-finite tr(A^2 B^2) or gap
+    (overflow) raises :class:`NumericError`.
 
     Parameters
     ----------
@@ -218,27 +217,30 @@ def commutator_gap(
         to ``states.HERM_TOL`` (else :class:`HermiticityError`).
     tol : float
         Gap at or below this threshold counts as commuting.
-    indices : tuple of int
-        1-based labels recorded in the result.
     """
-    a = as_matrix(op1)
-    b = _same_dim(op2, a)
-    return _pair_gaps(a, b[None], tol, int(indices[0]), (int(indices[1]),))[0]
+    return _decide([op1, op2], tol, None).pairs[0]
 
 
-def _decide(states, anchor, runs, tol, mode, reference) -> CoherenceReport:
-    """Gaps of the pairs in ``runs``, the verdict and the report.
+def _decide(states, tol, reference) -> CoherenceReport:
+    """Gaps of the pairs the mode needs, the verdict and the report.
 
-    ``runs`` lists 0-based (l, k0, k1): the pairs (l, k) for k0 <= k < k1, in
-    pair order.  Each state's matrix is taken once, the ``anchor`` (the first
-    state of the first pair) first, and every other is checked against its
-    dimension as it is taken, so an input error names what the first failing
-    pair would.  Each run goes through :func:`_pair_gaps` in chunks of at
+    With ``reference`` None (full mode) the pairs are all (l, k), l < k; else
+    (reduced mode) they pair the state labelled ``reference`` (1-based) with
+    every other.
+    Each state's matrix is taken once, the first state of the first pair
+    first, and every other is checked against its dimension as it is taken,
+    so an input error names what the first failing pair would.  Each run of
+    pairs (l, k0 <= k < k1) goes through :func:`_pair_gaps` in chunks of at
     most ``_CHUNK_BYTES // (16 d^2)`` pairs (the budget is derived where it
     is defined), as basic slices of one stack of the states; at d >= 64 a
     chunk is one pair and no stack is built.
     """
     n = len(states)
+    if reference is None:
+        anchor, runs = 0, [(l, l + 1, n) for l in range(n - 1)]
+    else:
+        anchor = reference - 1
+        runs = [(anchor, 0, anchor), (anchor, anchor + 1, n)]
     pairs = []
     if n > 1:
         a = as_matrix(states[anchor])
@@ -255,7 +257,7 @@ def _decide(states, anchor, runs, tol, mode, reference) -> CoherenceReport:
         n=n,
         pairs=tuple(pairs),
         verdict=verdict,
-        mode=mode,
+        mode="full" if reference is None else "reduced",
         reference=reference,
         invariant_count=2 * len(pairs),
     )
@@ -265,10 +267,9 @@ def set_coherence_decide(
     states: list[PositiveOperator], tol: float = COMMUTE_TOL
 ) -> CoherenceReport:
     """Full pairwise decision: set incoherent iff every pair commutes."""
-    n = len(states)
-    if n < 1:
+    if len(states) < 1:
         raise ValueError("need at least one state")
-    return _decide(states, 0, [(l, l + 1, n) for l in range(n - 1)], tol, "full", None)
+    return _decide(states, tol, None)
 
 
 def reduced_set_coherence(
@@ -302,10 +303,9 @@ def reduced_set_coherence(
     n = len(states)
     if not 1 <= ref_index <= n:
         raise ValueError(f"reference index {ref_index} out of range for {n} states")
-    r = ref_index - 1
-    report = _decide(states, r, [(r, 0, r), (r, r + 1, n)], tol, "reduced", ref_index)
+    report = _decide(states, tol, ref_index)
     if report.verdict == SET_INCOHERENT and n > 1:
-        ref = states[r]
+        ref = states[ref_index - 1]
         w = ref.eigenvalues if isinstance(ref, PositiveOperator) else \
             np.linalg.eigvalsh(as_matrix(ref))
         delta = float(np.min(np.diff(w))) if w.shape[0] > 1 else math.inf
@@ -475,7 +475,7 @@ def gram_rank_criterion(
     """
     if not states:
         raise ValueError("need at least one state")
-    d = states[0].dim
+    d = as_matrix(states[0]).shape[0]
     if convention is None:
         convention = "pauli" if d == 2 else "orthonormal"
     g = gram_bloch(states, convention=convention)

@@ -17,25 +17,22 @@ bit-for-bit.
 Layout contract: documents and CLI reports are written through
 :class:`ArrayEncoder`, whose text is byte-identical to
 ``json.dumps(x, indent=2, allow_nan=False)``.  With ``indent`` set, the
-stdlib encodes in pure Python, one scalar at a time, and on a d=256 document
-that takes two to three times as long as the C encoder's compact text.  So
-each regular numeric nested list (a matrix, a Gram matrix, an eigenvalue
-list) is encoded compactly by the C encoder in one call, and only the line
-breaks and indents are put back, from its shape.  A record list (a list of
-dicts with the same ``str`` keys in the same order, such as a ``coherence``
-pair table) is written column by column when each key's values share one
-exact type: ``float``, ``int``, ``bool``, ``str``, ``None``, or lists of
-exact ints of one length.  Each float or int column (an int-list column
-flattened) is one compact C-encoder call, split on ``,``, and the columns'
-texts are interleaved with the keys into the per-record layout.  Anything
-else (a ragged record, a mixed-type column, a subclass, a non-``str`` key)
-is walked value by value.  Every scalar's text still comes from the value
-itself, so ints, booleans and float ``repr`` are kept.
+stdlib encodes in pure Python, one scalar at a time, two to three times
+slower on a d=256 document than the C encoder's compact text.  The text of
+a JSON scalar (a number, ``true``, ``false``, ``null``) holds none of
+``,[]{}"``; so where a list's compact text holds no ``"``, ``{`` or ``[]``,
+its brackets and commas show its layout, and only line breaks and indents
+are put back.  A nested list starting with a float or a list (a matrix, an
+eigenvalue list) is one C-encoder call, refused unless all its scalars sit
+at one depth.  A record list (dicts with the same ``str`` keys in the same
+order, such as a ``coherence`` pair table) is written column by column:
+strings one by one; a column of dicts or matrices refused before any call;
+any other column in one call, refused unless each value is one scalar or
+one flat list.  What is refused is walked value by value.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
@@ -60,7 +57,8 @@ __all__ = [
 ]
 
 
-# Regular numeric arrays go through this compact C encoder in one call.
+# Numeric lists and record columns go through this compact C encoder, one
+# call each; the text it writes also shows whether the fast path applies.
 _COMPACT = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
 
@@ -68,45 +66,10 @@ class _Fallback(Exception):
     """A value the fast path leaves to ``json.JSONEncoder`` itself."""
 
 
-def _array_depth(x) -> int:
-    """Number of axes of ``x`` if it is a regular nested list of numbers
-    with no empty axis, else 0.  Only lists starting with a float or a list
-    are probed, so short int lists such as pair indices skip ``np.array``."""
-    if not isinstance(x[0], (float, list, tuple)):
-        return 0
-    try:
-        a = np.array(x)
-    except (ValueError, TypeError, OverflowError):  # ragged or not numeric
-        return 0
-    return a.ndim if a.dtype.kind in "biuf" and a.size else 0
-
-
-# Record-list columns of these exact types are written without the walk; an
-# int column is one C-encoder call, like a float column.
-_SCALARS = frozenset((float, int, bool, str, type(None)))
-_LITERALS = {True: "true", False: "false", None: "null"}
-
-
-def _record_columns(o) -> "list[tuple[type, list]] | None":
-    """(exact type, values) per key of a list of dicts with the same ``str``
-    keys in the same order, each key's values of one type in ``_SCALARS`` or
-    all ``list`` s of exact ints of one nonzero length; None if ``o`` is not
-    such a list."""
-    keys = tuple(o[0]) if type(o[0]) is dict else ()
-    if not keys or any(type(k) is not str for k in keys) or set(map(type, o)) != {dict} \
-            or not all(map(keys.__eq__, map(tuple, o))):
-        return None
-    columns = []
-    for key in keys:
-        column = list(map(operator.itemgetter(key), o))
-        kinds = set(map(type, column))
-        kind = kinds.pop()
-        if kinds or kind not in _SCALARS and not (
-                kind is list and column[0] and len(set(map(len, column))) == 1
-                and set(map(type, itertools.chain.from_iterable(column))) == {int}):
-            return None
-        columns.append((kind, column))
-    return columns
+def _scalars_only(text: str) -> bool:
+    """Whether compact C text holds no string, no object and no empty list,
+    so that every character between two brackets or commas is a scalar's."""
+    return '"' not in text and "{" not in text and "[]" not in text
 
 
 class ArrayEncoder(json.JSONEncoder):
@@ -154,10 +117,8 @@ class ArrayEncoder(json.JSONEncoder):
         elif isinstance(o, (list, tuple)):
             if not o:
                 out.append("[]")
-            elif depth := _array_depth(o):
-                out.append(self._array(o, depth, nl))
-            elif columns := _record_columns(o):
-                out.append(self._records(o[0], columns, nl))
+            elif text := self._array(o, nl) or self._records(o, nl):
+                out.append(text)
             else:
                 inner = nl + self._ind
                 sep = "[" + inner
@@ -182,45 +143,65 @@ class ArrayEncoder(json.JSONEncoder):
         else:
             raise _Fallback
 
-    def _records(self, first: dict, columns: list, nl: str) -> str:
-        """The text of a list of dicts, given its first record and the
-        :func:`_record_columns` of the list, written column by column.
+    def _records(self, o, nl: str) -> "str | None":
+        """The text of a list of dicts with the same ``str`` keys in the same
+        order, written column by column; None if ``o`` is not one or a column
+        is refused (see the module docstring).
 
-        A float or int column is one compact C-encoder call, split on ``,``;
-        so is an int-list column, flattened, whose items are then put back
-        in lists of its one length.  The columns' texts are interleaved with
-        the keys into the record layout, derived from ``nl`` and the indent.
+        A non-string column's C text is split on ``,`` into scalars or on
+        ``],[`` into flat lists; every bracket must be one of those values'.
+        The texts are interleaved with the keys into the record layout.
         """
+        keys = tuple(o[0]) if type(o[0]) is dict else ()
+        if not keys or any(type(k) is not str for k in keys) or set(map(type, o)) != {dict} \
+                or not all(map(keys.__eq__, map(tuple, o))):
+            return None
+        columns = [list(map(operator.itemgetter(key), o)) for key in keys]
+        if any(isinstance(c[0], dict) or isinstance(c[0], (list, tuple)) and c[0]
+               and isinstance(c[0][0], (list, tuple, dict)) for c in columns):
+            return None
         rec = nl + self._ind  # the line of each record's braces
         val = rec + self._ind  # the line of each key
-        keys = [self._str(key) + self.key_separator for key in first]
-        n, step = len(columns[0][1]), 2 * len(keys)
+        item = val + self._ind  # the line of each item of a list value
+        keys = [self._str(key) + self.key_separator for key in keys]
+        n, step = len(o), 2 * len(keys)
         parts = [None] * (step * n)
-        for j, (key, (kind, column)) in enumerate(zip(keys, columns)):
+        for j, (key, column) in enumerate(zip(keys, columns)):
+            if isinstance(column[0], str):
+                if not all(isinstance(v, str) for v in column):
+                    return None
+                texts = list(map(self._str, column))
+            else:
+                text = _COMPACT.encode(column)
+                if text[1] == "[":  # flat lists: "[[" a "],[" b ... "]]"
+                    start, sep, end = "[" + item, "," + item, val + "]"
+                    texts = [start + t.replace(",", sep) + end for t in text[2:-2].split("],[")]
+                    brackets = n + 1
+                else:
+                    texts, brackets = text[1:-1].split(","), 1
+                if not _scalars_only(text) or text.count("[") != brackets or len(texts) != n:
+                    return None
             parts[2 * j::step] = [("," + val if j else rec + "}," + rec + "{" + val) + key] * n
-            if kind is float or kind is int:
-                text = _COMPACT.encode(column)[1:-1].split(",")
-            elif kind is list:
-                item = val + self._ind
-                form = "[" + item + ("," + item).join(["%s"] * len(column[0])) + val + "]"
-                flat = _COMPACT.encode(list(itertools.chain.from_iterable(column)))
-                text = [form % t for t in zip(*[iter(flat[1:-1].split(","))] * len(column[0]))]
-            elif kind is str:
-                text = list(map(self._str, column))
-            else:  # bool or None
-                text = list(map(_LITERALS.__getitem__, column))
-            parts[2 * j + 1::step] = text
+            parts[2 * j + 1::step] = texts
         parts[0] = "[" + rec + "{" + val + keys[0]
         return "".join(parts) + rec + "}" + nl + "]"
 
-    def _array(self, x, depth: int, nl: str) -> str:
-        """The compact C text of a regular ``depth``-axis array, re-indented.
+    def _array(self, x, nl: str) -> "str | None":
+        """The compact C text of a nested list of scalars all at one depth,
+        re-indented; None if ``x`` is not one.  Only lists starting with a
+        float, a list or a tuple are tried, so short int lists such as pair
+        indices are walked.
 
-        Scalars hold no ``[``, ``]`` or ``,``, so the brackets alone carry the
-        layout: between two items at axis ``depth - a`` the compact text
-        reads ``]`` * a, ``,``, ``[`` * a.
+        The text opens and closes with ``depth`` brackets, and between two
+        items at axis ``depth - a`` it reads ``]`` * a, ``,``, ``[`` * a.  A
+        bracket outside those runs means scalars at uneven depth.
         """
+        if not isinstance(x[0], (float, list, tuple)):
+            return None
         text = _COMPACT.encode(x)
+        depth = len(text) - len(text.lstrip("["))
+        if not _scalars_only(text) or not text.endswith("]" * depth):
+            return None
         line = [nl + self._ind * k for k in range(depth + 1)]  # line[k]: axis k
 
         def opens(j):  # the brackets opened from axis j down to the scalars
@@ -230,9 +211,13 @@ class ArrayEncoder(json.JSONEncoder):
             return "".join(line[k] + "]" for k in reversed(range(j, depth)))
 
         body = text[depth:-depth].replace(",", "," + line[depth])
+        brackets = depth
         for a in range(depth - 1, 0, -1):  # longest first: shorter runs sit inside
-            body = body.replace("]" * a + "," + line[depth] + "[" * a,
-                                closes(depth - a) + "," + opens(depth - a))
+            run = "]" * a + "," + line[depth] + "[" * a
+            brackets += a * body.count(run)
+            body = body.replace(run, closes(depth - a) + "," + opens(depth - a))
+        if text.count("[") != brackets:
+            return None
         return "[" + opens(1) + body + closes(0)
 
 

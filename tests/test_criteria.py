@@ -121,6 +121,22 @@ def test_commutator_gap_rejects_non_finite_invariants():
             set_coherence_decide(big)
 
 
+def test_commutator_gap_is_the_pair_of_set_coherence_decide():
+    rng = np.random.default_rng(61)
+    for d in (1, 2, 4, 64):
+        for ops in ([random_state(d, "ginibre_mixed", rng) for _ in range(2)],
+                    commuting_set(d, 2, rng)):
+            for pair in (ops, [op.matrix for op in ops]):
+                expected = set_coherence_decide(pair).pairs[0]
+                got = commutator_gap(*pair)
+                for field in dataclasses.fields(expected):
+                    assert getattr(got, field.name) == getattr(expected, field.name)
+    big = [validate_state(1e100 * s.matrix) for s in commuting_set(4, 2, rng)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=r"for pair \(1, 2\)$"):
+            commutator_gap(*big)
+
+
 def test_gap_equals_half_commutator_norm():
     rng = np.random.default_rng(40)
     for _ in range(300):
@@ -588,6 +604,17 @@ def test_gram_bloch_matches_bloch_vectors():
     with pytest.raises(ShapeError, match=r"dimension mismatch: \[2, 3, 2\]"):
         gram_bloch(mixed, "orthonormal")
     with pytest.raises(ShapeError, match="dimension mismatch"):
+        gram_rank_criterion(mixed)
+
+
+def test_gram_rank_criterion_takes_raw_arrays():
+    rng = np.random.default_rng(62)
+    for d in (2, 3):
+        states = [random_state(d, "ginibre_mixed", rng) for _ in range(3)]
+        raw = gram_rank_criterion([s.matrix for s in states]).to_dict()
+        assert json.dumps(raw) == json.dumps(gram_rank_criterion(states).to_dict())
+    mixed = [maximally_mixed(2).matrix, maximally_mixed(3).matrix, maximally_mixed(2).matrix]
+    with pytest.raises(ShapeError, match=r"dimension mismatch: \[2, 3, 2\]"):
         gram_rank_criterion(mixed)
 
 

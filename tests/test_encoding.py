@@ -25,6 +25,11 @@ class ListSubclass(list):
     pass
 
 
+class Count(int):
+    def __repr__(self):
+        return "Count()"
+
+
 TEXT = st.text(st.sampled_from(list(',[]:"{}\n\\ aé∂😀'))) | st.text(max_size=8)
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 NUMBERS = st.one_of(FLOATS, st.integers(), st.booleans())
@@ -60,11 +65,6 @@ def containers(children):
 
 
 TREES = st.recursive(SCALARS | regular_arrays() | regular_arrays(TEXT), containers, max_leaves=20)
-
-
-class Count(int):
-    def __repr__(self):
-        return "Count()"
 
 
 @settings(deadline=None)
@@ -125,33 +125,87 @@ def test_regular_arrays_take_one_c_encoder_call_each(monkeypatch):
     monkeypatch.setattr(bio, "_COMPACT", Counting(separators=(",", ":"), allow_nan=False))
     monkeypatch.setattr(bio.ArrayEncoder, "iterencode", no_fallback)
     assert [encoded(doc), encoded(report)] == expected
-    # one call per regular array, passed as it is, and one per numeric column
-    # of the pair table: its flattened indices, its gaps and its counts
+    # One call per matrix, passed as it is: the document's matrix column is
+    # refused before any call, so no matrix is encoded twice.  Then one call
+    # per non-string column of the pair table, in key order, the bool and
+    # None columns included, and none for its string column.
     arrays = [s["matrix"] for s in doc["states"]]
-    columns = [[x for r in table for x in r["indices"]], [r["gap"] for r in table],
-               [r["count"] for r in table]]
+    columns = [[r[key] for r in table] for key in table[0] if key != "label"]
     assert len(calls) == len(arrays) + len(columns) + 2
     assert all(c is a for c, a in zip(calls, arrays))
-    assert [list(c) for c in calls[len(arrays):-2]] == columns
+    assert calls[len(arrays):-2] == columns
+    assert [list(map(type, c)) for c in calls[len(arrays):-2]] == \
+        [list(map(type, c)) for c in columns]
     assert calls[-2] is report["eigenvalues"] and calls[-1] is report["gram"]
 
 
+BIG_INTS = st.integers(min_value=2**64) | st.integers(max_value=-2**64)
+LEAVES = st.one_of(FLOATS, st.integers(), BIG_INTS, st.booleans(), st.none(),
+                   st.integers().map(Count), FLOATS.map(np.float64))
+
+
+def _sublists(x):
+    """Every list in the nest ``x``, ``x`` first."""
+    yield x
+    for item in x:
+        if isinstance(item, list):
+            yield from _sublists(item)
+
+
+@st.composite
+def numeric_nests(draw):
+    """A nested list of numbers, bools and nulls: regular, or made ragged (an
+    item added to or taken from one row) or of mixed depth (a scalar wrapped
+    in a list, or a row replaced by a scalar)."""
+    x = draw(regular_arrays(LEAVES))
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(list(_sublists(x))))
+        i = draw(st.integers(0, len(row) - 1))
+        how = draw(st.sampled_from(["add", "drop", "wrap", "flatten"]))
+        if how == "add":
+            row.append(draw(LEAVES | st.lists(LEAVES, min_size=1, max_size=2)))
+        elif how == "drop" and len(row) > 1:
+            del row[i]
+        elif how == "wrap":
+            row[i] = [row[i]]
+        elif how == "flatten" and isinstance(row[i], list):
+            row[i] = draw(LEAVES)
+    return x
+
+
+@settings(deadline=None)
+@given(numeric_nests() | st.recursive(LEAVES, lambda c: st.lists(c, min_size=1, max_size=4),
+                                      max_leaves=30))
+@example([[1.0, 2.0], [3.0]])
+@example([[1.0, [2.0]], [3.0, 4.0]])
+@example([[[1.0]], [2.0]])
+@example([[1.0], 2.0])
+@example([1.0, [2.0]])
+@example([[1.0, 2**70], [None, True]])
+def test_numeric_nests_match_stdlib_byte_for_byte(x):
+    assert encoded(x) == reference(x)
+
+
 COLUMNS = {"float": FLOATS, "int": st.integers(), "bool": st.booleans(), "str": TEXT,
-           "none": st.none()}
+           "none": st.none(), "mixed": st.one_of(FLOATS, st.integers(), st.booleans()),
+           "leaves": LEAVES}
 
 
 @st.composite
 def record_lists(draw):
-    """1-60 dicts with the same keys, each key's values of one column type,
-    nested in lists and dicts to a random depth."""
+    """1-60 dicts with the same keys, each key's values of one column kind
+    (one scalar type, mixed numbers, int lists of one length, or numeric
+    lists of any length), nested in lists and dicts to a random depth."""
     keys = draw(st.lists(TEXT, min_size=1, max_size=5, unique=True))
     count = draw(st.integers(1, 60))
     columns = {}
     for key in keys:
-        kind = draw(st.sampled_from([*COLUMNS, "ints"]))
+        kind = draw(st.sampled_from([*COLUMNS, "ints", "ragged"]))
         if kind == "ints":
             length = draw(st.integers(1, 4))
             values = st.lists(st.integers(), min_size=length, max_size=length)
+        elif kind == "ragged":  # numeric lists of any length, now and then nested
+            values = st.lists(LEAVES, max_size=4) | st.lists(LEAVES | st.lists(LEAVES), max_size=2)
         else:
             values = COLUMNS[kind]
         columns[key] = draw(st.lists(values, min_size=count, max_size=count))
@@ -162,13 +216,13 @@ def record_lists(draw):
 
 
 def _perturbed(records, data):
-    """``records`` with one record made ragged, reordered, or given a value or
-    key the column path must not write itself."""
+    """``records`` with one record made ragged, reordered, or given a value, a
+    depth or a key the column path must not write itself."""
     i = data.draw(st.integers(0, len(records) - 1))
     r = records[i]
     key = data.draw(st.sampled_from(list(r)))
     how = data.draw(st.sampled_from(["ragged", "swap", "bool", "float64", "count", "nan",
-                                     "key"]))
+                                     "wrap", "key"]))
     if how == "ragged":
         del r[key]
     elif how == "swap":
@@ -181,6 +235,8 @@ def _perturbed(records, data):
         r[key] = Count(3)
     elif how == "nan":
         r[key] = math.nan
+    elif how == "wrap":  # a list among scalars, or a nested list among flat ones
+        r[key] = [r[key]]
     else:
         r[data.draw(st.integers() | st.none() | st.booleans())] = r.pop(key)
     return records
