@@ -419,10 +419,19 @@ def gram_bloch(states: list[PositiveOperator], convention: str) -> np.ndarray:
     built: O(n^2 d^2) time and O(n d^2) memory in any dimension.  A
     non-finite entry (overflow) raises :class:`NumericError`.
     """
+    return _gram_of(_stacked(states), convention)
+
+
+def _stacked(states: list[PositiveOperator]) -> np.ndarray:
+    """The states' matrices as one (n, d, d) stack, each raw array checked once."""
     mats = [as_matrix(s) for s in states]
     if len({m.shape for m in mats}) > 1:
         raise ShapeError(f"dimension mismatch: {[m.shape[0] for m in mats]}")
-    x = np.stack(mats)
+    return np.stack(mats)
+
+
+def _gram_of(x: np.ndarray, convention: str) -> np.ndarray:
+    """:func:`gram_bloch` of the stack ``x`` of matrices."""
     n, d = x.shape[:2]
     c = {"pauli": 2.0, "orthonormal": 1.0}.get(convention)
     if c is None:
@@ -475,10 +484,11 @@ def gram_rank_criterion(
     """
     if not states:
         raise ValueError("need at least one state")
-    d = as_matrix(states[0]).shape[0]
+    x = _stacked(states)
+    d = x.shape[1]
     if convention is None:
         convention = "pauli" if d == 2 else "orthonormal"
-    g = gram_bloch(states, convention=convention)
+    g = _gram_of(x, convention)
     w = np.linalg.eigvalsh(g)
     top = float(w[-1])
     rank = int(np.sum(w > tol * top)) if top > 0 else 0

@@ -112,7 +112,8 @@ def bargmann_invariant(states: list[PositiveOperator], word: Word) -> complex:
     For normalized states the modulus never exceeds 1 (up to rounding).
     """
     w = check_word(word, n_states=len(states))
-    return _product_trace([as_matrix(states[letter - 1]) for letter in w])
+    mats = {k: as_matrix(states[k - 1]) for k in dict.fromkeys(w)}  # each letter once
+    return _product_trace([mats[k] for k in w])
 
 
 def evaluate_scenario(

@@ -18,26 +18,28 @@ Layout contract: documents and CLI reports are written through
 :class:`ArrayEncoder`, whose text is byte-identical to
 ``json.dumps(x, indent=2, allow_nan=False)``.  With ``indent`` set, the
 stdlib encodes in pure Python, one scalar at a time, two to three times
-slower on a d=256 document than the C encoder's compact text.  The text of
-a JSON scalar (a number, ``true``, ``false``, ``null``) holds none of
+slower on a d=256 document than the C encoder's compact text.  The walk
+writes brackets, keys, strings and indentation only; every other value it
+meets (a number, ``true``, ``false``, ``null``, ``[]``, ``{}``) comes from
+one C-encoder call, split on ``,``.  The text of a JSON scalar holds none of
 ``,[]{}"``; so where a list's compact text holds no ``"``, ``{`` or ``[]``,
 its brackets and commas show its layout, and only line breaks and indents
 are put back.  A nested list starting with a float or a list (a matrix, an
 eigenvalue list) is one C-encoder call, refused unless all its scalars sit
-at one depth.  A record list (dicts with the same ``str`` keys in the same
-order, such as a ``coherence`` pair table) is written column by column:
-strings one by one; a column of dicts or matrices refused before any call;
-any other column in one call, refused unless each value is one scalar or
-one flat list.  What is refused is walked value by value.
+at one depth.  A record list (dicts with the same keys in the same order,
+such as a ``coherence`` pair table) is one call per column, refused unless
+each value is one scalar or one flat list; one with a string, dict or
+matrix column is refused before any call.  What is refused is walked.
+String columns and ``ensure_ascii=False`` do not take the fast path, and
+any error from the C functions re-encodes through the stdlib.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import operator
 from dataclasses import dataclass
-from json.encoder import encode_basestring, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
@@ -57,13 +59,9 @@ __all__ = [
 ]
 
 
-# Numeric lists and record columns go through this compact C encoder, one
-# call each; the text it writes also shows whether the fast path applies.
+# Numeric lists, record columns and the walk's values go through this
+# compact C encoder; the text it writes also shows whether a fast path applies.
 _COMPACT = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
-
-
-class _Fallback(Exception):
-    """A value the fast path leaves to ``json.JSONEncoder`` itself."""
 
 
 def _scalars_only(text: str) -> bool:
@@ -77,47 +75,42 @@ class ArrayEncoder(json.JSONEncoder):
     with each regular numeric nested list encoded by the C encoder and each
     record list written column by column.
 
-    Dicts and other lists are walked here.  Anything else the walk does not
-    write as ``json`` would (a non-``str`` key, a non-finite float, a value
-    needing ``default``) re-encodes the whole object with ``json`` itself, so
-    its output or its error is the stdlib's.  Without a positive integer
-    ``indent``, with ``sort_keys`` or with a custom item separator, ``encode``
-    is the stdlib's.
+    Other dicts and lists are walked here, which writes their brackets, keys,
+    strings and indentation.  Every other value the walk meets is left in
+    place and written, all in one C-encoder call, once the walk ends.  Any
+    ``ValueError``, ``TypeError`` or ``RecursionError`` from the C functions
+    (a non-``str`` key, a non-finite float, a value needing ``default``)
+    re-encodes the whole object with ``json`` itself, so its output or its
+    error is the stdlib's.  Without a positive integer ``indent``, with
+    ``sort_keys``, with ``ensure_ascii=False`` or with a custom item
+    separator, ``encode`` is the stdlib's.
     """
 
     def encode(self, o) -> str:
-        if not (isinstance(self.indent, int) and self.indent > 0) \
-                or self.sort_keys or self.item_separator != ",":
+        if not (isinstance(self.indent, int) and self.indent > 0) or self.sort_keys \
+                or not self.ensure_ascii or self.item_separator != ",":
             return super().encode(o)
         self._ind = " " * self.indent
-        self._str = encode_basestring_ascii if self.ensure_ascii else encode_basestring
-        out: list[str] = []
+        out: list = []
         try:
             self._emit(o, "\n", out)
-        except (_Fallback, ValueError, TypeError, RecursionError):
+            at = [i for i, text in enumerate(out) if type(text) is not str]
+            if at:  # no value's text holds a comma
+                values = _COMPACT.encode([out[i] for i in at])[1:-1].split(",")
+                for i, text in zip(at, values):
+                    out[i] = text
+        except (ValueError, TypeError, RecursionError):
             return super().encode(o)
         return "".join(out)
 
     def _emit(self, o, nl: str, out: list) -> None:
-        """Append ``o``'s text, with ``nl`` the newline and indent of its line."""
+        """Append ``o``'s text, with ``nl`` the newline and indent of its line;
+        a value other than a string, a non-empty list or a non-empty dict is
+        appended as it is."""
         if isinstance(o, str):
-            out.append(self._str(o))
-        elif o is None:
-            out.append("null")
-        elif o is True:
-            out.append("true")
-        elif o is False:
-            out.append("false")
-        elif isinstance(o, int):
-            out.append(int.__repr__(o))
-        elif isinstance(o, float):
-            if not math.isfinite(o):
-                raise _Fallback
-            out.append(float.__repr__(o))
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                out.append("[]")
-            elif text := self._array(o, nl) or self._records(o, nl):
+            out.append(encode_basestring_ascii(o))
+        elif isinstance(o, (list, tuple)) and o:
+            if text := self._array(o, nl) or self._records(o, nl):
                 out.append(text)
             else:
                 inner = nl + self._ind
@@ -127,60 +120,49 @@ class ArrayEncoder(json.JSONEncoder):
                     self._emit(item, inner, out)
                     sep = "," + inner
                 out.append(nl + "]")
-        elif isinstance(o, dict):
-            if not o:
-                out.append("{}")
-                return
+        elif isinstance(o, dict) and o:
             inner = nl + self._ind
             sep = "{" + inner
             for key, value in o.items():
-                if not isinstance(key, str):
-                    raise _Fallback
-                out.append(sep + self._str(key) + self.key_separator)
+                out.append(sep + encode_basestring_ascii(key) + self.key_separator)
                 self._emit(value, inner, out)
                 sep = "," + inner
             out.append(nl + "}")
         else:
-            raise _Fallback
+            out.append(o)
 
     def _records(self, o, nl: str) -> "str | None":
-        """The text of a list of dicts with the same ``str`` keys in the same
-        order, written column by column; None if ``o`` is not one or a column
-        is refused (see the module docstring).
+        """The text of a list of dicts with the same keys in the same order,
+        written column by column; None if ``o`` is not one or a column is
+        refused (see the module docstring).
 
-        A non-string column's C text is split on ``,`` into scalars or on
-        ``],[`` into flat lists; every bracket must be one of those values'.
-        The texts are interleaved with the keys into the record layout.
+        A column's C text is split on ``,`` into scalars or on ``],[`` into
+        flat lists; every bracket must be one of those values'.  The texts
+        are interleaved with the keys into the record layout.
         """
         keys = tuple(o[0]) if type(o[0]) is dict else ()
-        if not keys or any(type(k) is not str for k in keys) or set(map(type, o)) != {dict} \
-                or not all(map(keys.__eq__, map(tuple, o))):
+        if not keys or set(map(type, o)) != {dict} or not all(map(keys.__eq__, map(tuple, o))):
             return None
         columns = [list(map(operator.itemgetter(key), o)) for key in keys]
-        if any(isinstance(c[0], dict) or isinstance(c[0], (list, tuple)) and c[0]
+        if any(isinstance(c[0], (dict, str)) or isinstance(c[0], (list, tuple)) and c[0]
                and isinstance(c[0][0], (list, tuple, dict)) for c in columns):
             return None
         rec = nl + self._ind  # the line of each record's braces
         val = rec + self._ind  # the line of each key
         item = val + self._ind  # the line of each item of a list value
-        keys = [self._str(key) + self.key_separator for key in keys]
+        keys = [encode_basestring_ascii(key) + self.key_separator for key in keys]
         n, step = len(o), 2 * len(keys)
         parts = [None] * (step * n)
         for j, (key, column) in enumerate(zip(keys, columns)):
-            if isinstance(column[0], str):
-                if not all(isinstance(v, str) for v in column):
-                    return None
-                texts = list(map(self._str, column))
+            text = _COMPACT.encode(column)
+            if text[1] == "[":  # flat lists: "[[" a "],[" b ... "]]"
+                start, sep, end = "[" + item, "," + item, val + "]"
+                texts = [start + t.replace(",", sep) + end for t in text[2:-2].split("],[")]
+                brackets = n + 1
             else:
-                text = _COMPACT.encode(column)
-                if text[1] == "[":  # flat lists: "[[" a "],[" b ... "]]"
-                    start, sep, end = "[" + item, "," + item, val + "]"
-                    texts = [start + t.replace(",", sep) + end for t in text[2:-2].split("],[")]
-                    brackets = n + 1
-                else:
-                    texts, brackets = text[1:-1].split(","), 1
-                if not _scalars_only(text) or text.count("[") != brackets or len(texts) != n:
-                    return None
+                texts, brackets = text[1:-1].split(","), 1
+            if not _scalars_only(text) or text.count("[") != brackets or len(texts) != n:
+                return None
             parts[2 * j::step] = [("," + val if j else rec + "}," + rec + "{" + val) + key] * n
             parts[2 * j + 1::step] = texts
         parts[0] = "[" + rec + "{" + val + keys[0]

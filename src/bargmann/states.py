@@ -130,11 +130,14 @@ def require_normalized(
     states: Sequence[PositiveOperator], reason: str, labels: "Iterable[int] | None" = None
 ) -> None:
     """Raise :class:`NormalizationError`, naming the first state (1-based) whose
-    trace is not 1 to ``NORM_TOL``, and ``reason``.
+    trace is not 1 to ``NORM_TOL``, or which is a raw array and so has no
+    certified trace, and ``reason``.
 
     ``labels`` are the 1-based labels to check, in order; default all."""
     for i in range(1, len(states) + 1) if labels is None else labels:
         s = states[i - 1]
+        if not isinstance(s, PositiveOperator):
+            raise NormalizationError(f"state {i} is a raw array, not a validated state; {reason}")
         if not s.normalized:
             raise NormalizationError(f"state {i} has trace {s.trace!r}; {reason}")
 

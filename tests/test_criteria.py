@@ -364,6 +364,12 @@ def test_raw_arrays_are_checked_once_per_state(hermitian_calls):
     hermitian_calls.clear()
     reduced_set_coherence(mats, 2)
     assert len(hermitian_calls) == n
+    hermitian_calls.clear()
+    gram_rank_criterion(mats)
+    assert len(hermitian_calls) == n
+    hermitian_calls.clear()
+    bargmann_invariant(mats, (1, 1, 2, 2))  # two distinct letters
+    assert len(hermitian_calls) == 2
 
 
 def test_decisions_do_not_rescan_validated_states(scan_calls):

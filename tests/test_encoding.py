@@ -73,6 +73,10 @@ TREES = st.recursive(SCALARS | regular_arrays() | regular_arrays(TEXT), containe
 @example({"a": [[], []], "b": [[[]]], "c": [1.0, []]})
 @example({"x": np.float64(0.5), "n": Count(3), "m": [[np.float64(0.25), Count(1)]]})
 @example([True, 1.5, Count(2)])
+@example({1: [1.0], None: "a", 2.5: {}, False: [[0.5]]})
+@example([{"label": "a,b", "x": 1.0}, {"label": ",", "x": 2.0}])
+@example([1, [], 2.5, {}, None, True, ()])
+@example({"a": [], "b": -0.0, "c": {}, "d": [[], 1]})
 def test_matches_stdlib_byte_for_byte(x):
     assert encoded(x) == reference(x)
 
@@ -103,14 +107,18 @@ def test_values_that_need_default_follow_the_stdlib():
             encode(tree)
     assert json.dumps(tree, cls=bio.ArrayEncoder, indent=2, default=sorted) \
         == json.dumps(tree, indent=2, default=sorted)
+    tree = {"é": ["∂", "😀", 1.5, None], "pairs": [{"k": "ü", "v": 2.0}, {"k": "a", "v": 1}]}
+    assert json.dumps(tree, cls=bio.ArrayEncoder, indent=2, ensure_ascii=False) \
+        == json.dumps(tree, indent=2, ensure_ascii=False)
 
 
 def test_regular_arrays_take_one_c_encoder_call_each(monkeypatch):
     rng = np.random.default_rng(4)
     doc = bio.state_set_to_document([random_state(3, "ginibre_mixed", rng) for _ in range(2)])
-    table = [{"indices": [1, k], "gap": 0.25 * k, "commutes": k % 2 == 0, "label": f"s{k}",
-              "note": None, "count": k} for k in range(2, 6)]
+    table = [{"indices": [1, k], "gap": 0.25 * k, "commutes": k % 2 == 0, "note": None,
+              "count": k} for k in range(2, 6)]
     report = {"pairs": table, "eigenvalues": [0.25, 0.75], "gram": [[1.0, 0.0], [0.0, 1.0]]}
+    labelled = {"n": 4, "pairs": [{"label": f"s{r['count']}", **r} for r in table], "tol": 1e-9}
     calls = []
 
     class Counting(json.JSONEncoder):
@@ -121,22 +129,35 @@ def test_regular_arrays_take_one_c_encoder_call_each(monkeypatch):
     def no_fallback(*args, **kwargs):
         raise AssertionError("fell back to the stdlib encoder")
 
-    expected = [reference(doc), reference(report)]
+    def calls_of(x):
+        calls.clear()
+        assert encoded(x) == reference(x)
+        return list(calls)
+
     monkeypatch.setattr(bio, "_COMPACT", Counting(separators=(",", ":"), allow_nan=False))
     monkeypatch.setattr(bio.ArrayEncoder, "iterencode", no_fallback)
-    assert [encoded(doc), encoded(report)] == expected
     # One call per matrix, passed as it is: the document's matrix column is
-    # refused before any call, so no matrix is encoded twice.  Then one call
-    # per non-string column of the pair table, in key order, the bool and
-    # None columns included, and none for its string column.
+    # refused before any call, so no matrix is encoded twice.  Then one last
+    # call for the values the walk met, here the dimension alone.
     arrays = [s["matrix"] for s in doc["states"]]
-    columns = [[r[key] for r in table] for key in table[0] if key != "label"]
-    assert len(calls) == len(arrays) + len(columns) + 2
-    assert all(c is a for c, a in zip(calls, arrays))
-    assert calls[len(arrays):-2] == columns
-    assert [list(map(type, c)) for c in calls[len(arrays):-2]] == \
-        [list(map(type, c)) for c in columns]
-    assert calls[-2] is report["eigenvalues"] and calls[-1] is report["gram"]
+    made = calls_of(doc)
+    assert len(made) == len(arrays) + 1 and all(c is a for c, a in zip(made, arrays))
+    assert made[-1] == [doc["dimension"]]
+    # One call per column of a table with no string column, in key order,
+    # each column as it is; a report that leaves the walk no value makes no
+    # last call.
+    columns = [[r[key] for r in table] for key in table[0]]
+    made = calls_of(report)
+    assert made[:-2] == columns
+    assert [list(map(type, c)) for c in made[:-2]] == [list(map(type, c)) for c in columns]
+    assert made[-2] is report["eigenvalues"] and made[-1] is report["gram"]
+    assert len(made) == len(columns) + 2
+    # A table with a string column makes no call of its own: it is walked,
+    # and its values join the last call in document order.
+    walked = [4, *(v for r in table for v in (*r["indices"], r["gap"], r["commutes"],
+                                                 r["note"], r["count"])), 1e-9]
+    made = calls_of(labelled)
+    assert made == [walked] and list(map(type, made[0])) == list(map(type, walked))
 
 
 BIG_INTS = st.integers(min_value=2**64) | st.integers(max_value=-2**64)

@@ -74,6 +74,13 @@ def test_unnormalized_state_rejected():
     unnorm = validate_state(np.eye(2, dtype=complex))
     with pytest.raises(NormalizationError):
         estimate_invariant([unnorm], (1, 1), EstimatorConfig(shots_per_setting=10))
+    # a raw array has no certified trace, so estimation refuses it too
+    rng = np.random.default_rng(62)
+    raw = [random_state(2, "ginibre_mixed", rng).matrix for _ in range(2)]
+    with pytest.raises(NormalizationError, match="state 1 is a raw array"):
+        estimate_invariant(raw, (1, 2), EstimatorConfig(shots_per_setting=100))
+    with pytest.raises(NormalizationError, match="state 1 is a raw array"):
+        estimate_gap(raw, EstimatorConfig(shots_per_setting=100))
 
 
 def test_estimate_result_modulus_bound():
