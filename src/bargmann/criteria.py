@@ -29,8 +29,8 @@ from .exceptions import (
     NumericInconsistencyError,
     ShapeError,
 )
-from .invariants import bargmann_invariant
-from .states import BlochVector, PositiveOperator, as_matrix, purity
+from .numkernel import _product_trace
+from .states import BlochVector, PositiveOperator, as_matrix
 
 __all__ = [
     "COMMUTE_TOL",
@@ -186,14 +186,6 @@ def _pair_gaps(a, bs, tol, l, ks) -> list[PairGap]:
                     [g <= tol for g in gap]))
 
 
-def _same_dim(op, a: np.ndarray) -> np.ndarray:
-    """:func:`as_matrix` of ``op``, which must have the dimension of ``a``."""
-    b = as_matrix(op)
-    if b.shape != a.shape:
-        raise ShapeError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return b
-
-
 def commutator_gap(
     op1: "PositiveOperator | np.ndarray",
     op2: "PositiveOperator | np.ndarray",
@@ -218,40 +210,42 @@ def commutator_gap(
     tol : float
         Gap at or below this threshold counts as commuting.
     """
-    return _decide([op1, op2], tol, None).pairs[0]
+    return _decide(_stacked([op1, op2]), tol, None).pairs[0]
 
 
-def _decide(states, tol, reference) -> CoherenceReport:
-    """Gaps of the pairs the mode needs, the verdict and the report.
+def _stacked(states: list[PositiveOperator]) -> np.ndarray:
+    """The states' matrices as one (n, d, d) stack: at least one state, each
+    raw array checked once, all of one dimension."""
+    if len(states) == 0:
+        raise ValueError("need at least one state")
+    mats = [as_matrix(s) for s in states]
+    if len({m.shape for m in mats}) > 1:
+        raise ShapeError(f"dimension mismatch: {[m.shape[0] for m in mats]}")
+    return np.stack(mats)
+
+
+def _decide(x: np.ndarray, tol, reference) -> CoherenceReport:
+    """Gaps of the pairs the mode needs, the verdict and the report, for the
+    stack ``x`` of :func:`_stacked`.
 
     With ``reference`` None (full mode) the pairs are all (l, k), l < k; else
     (reduced mode) they pair the state labelled ``reference`` (1-based) with
-    every other.
-    Each state's matrix is taken once, the first state of the first pair
-    first, and every other is checked against its dimension as it is taken,
-    so an input error names what the first failing pair would.  Each run of
-    pairs (l, k0 <= k < k1) goes through :func:`_pair_gaps` in chunks of at
-    most ``_CHUNK_BYTES // (16 d^2)`` pairs (the budget is derived where it
-    is defined), as basic slices of one stack of the states; at d >= 64 a
-    chunk is one pair and no stack is built.
+    every other.  Each run of pairs (l, k0 <= k < k1) goes through
+    :func:`_pair_gaps` as basic slices of ``x``, in chunks of at most
+    ``_CHUNK_BYTES // (16 d^2)`` pairs (the budget is derived where it is
+    defined), so one pair per chunk at d >= 64.
     """
-    n = len(states)
+    n = len(x)
     if reference is None:
-        anchor, runs = 0, [(l, l + 1, n) for l in range(n - 1)]
+        runs = [(l, l + 1, n) for l in range(n - 1)]
     else:
-        anchor = reference - 1
-        runs = [(anchor, 0, anchor), (anchor, anchor + 1, n)]
+        runs = [(reference - 1, 0, reference - 1), (reference - 1, reference, n)]
+    size = max(1, _CHUNK_BYTES // (16 * x[0].size))
     pairs = []
-    if n > 1:
-        a = as_matrix(states[anchor])
-        mats = [a if k == anchor else _same_dim(states[k], a) for k in range(n)]
-        size = max(1, _CHUNK_BYTES // (16 * a.size))
-        x = np.stack(mats) if size > 1 else None
-        for l, k0, k1 in runs:
-            for s in range(k0, k1, size):
-                t = min(s + size, k1)
-                bs = x[s:t] if x is not None else mats[s][None]
-                pairs += _pair_gaps(mats[l], bs, tol, l + 1, range(s + 1, t + 1))
+    for l, k0, k1 in runs:
+        for s in range(k0, k1, size):
+            t = min(s + size, k1)
+            pairs += _pair_gaps(x[l], x[s:t], tol, l + 1, range(s + 1, t + 1))
     verdict = SET_INCOHERENT if all(p.commutes for p in pairs) else SET_COHERENT
     return CoherenceReport(
         n=n,
@@ -267,9 +261,7 @@ def set_coherence_decide(
     states: list[PositiveOperator], tol: float = COMMUTE_TOL
 ) -> CoherenceReport:
     """Full pairwise decision: set incoherent iff every pair commutes."""
-    if len(states) < 1:
-        raise ValueError("need at least one state")
-    return _decide(states, tol, None)
+    return _decide(_stacked(states), tol, None)
 
 
 def reduced_set_coherence(
@@ -303,11 +295,12 @@ def reduced_set_coherence(
     n = len(states)
     if not 1 <= ref_index <= n:
         raise ValueError(f"reference index {ref_index} out of range for {n} states")
-    report = _decide(states, tol, ref_index)
+    x = _stacked(states)
+    report = _decide(x, tol, ref_index)
     if report.verdict == SET_INCOHERENT and n > 1:
         ref = states[ref_index - 1]
         w = ref.eigenvalues if isinstance(ref, PositiveOperator) else \
-            np.linalg.eigvalsh(as_matrix(ref))
+            np.linalg.eigvalsh(x[ref_index - 1])
         delta = float(np.min(np.diff(w))) if w.shape[0] > 1 else math.inf
         max_gap = max((p.gap for p in report.pairs), default=0.0)
         # Python floats overflow to inf rather than raise, so a tiny delta is safe.
@@ -422,14 +415,6 @@ def gram_bloch(states: list[PositiveOperator], convention: str) -> np.ndarray:
     return _gram_of(_stacked(states), convention)
 
 
-def _stacked(states: list[PositiveOperator]) -> np.ndarray:
-    """The states' matrices as one (n, d, d) stack, each raw array checked once."""
-    mats = [as_matrix(s) for s in states]
-    if len({m.shape for m in mats}) > 1:
-        raise ShapeError(f"dimension mismatch: {[m.shape[0] for m in mats]}")
-    return np.stack(mats)
-
-
 def _gram_of(x: np.ndarray, convention: str) -> np.ndarray:
     """:func:`gram_bloch` of the stack ``x`` of matrices."""
     n, d = x.shape[:2]
@@ -482,8 +467,6 @@ def gram_rank_criterion(
     verdict) does not depend on the convention, which only rescales the
     Gram matrix.
     """
-    if not states:
-        raise ValueError("need at least one state")
     x = _stacked(states)
     d = x.shape[1]
     if convention is None:
@@ -591,10 +574,11 @@ def imaginarity_witness(
     rho_l: PositiveOperator, rho_k: PositiveOperator, rho_s: PositiveOperator
 ) -> ImaginarityWitness:
     """Evaluate the imaginarity bound for an ordered state triple."""
-    im_delta = bargmann_invariant([rho_l, rho_k, rho_s], (1, 2, 3)).imag
+    x = _stacked([rho_l, rho_k, rho_s])
+    im_delta = _product_trace(list(x)).imag
     # ||[rho_k, rho_s]||_F^2 = 2 gap >= 0 by construction.
-    pair = commutator_gap(rho_k, rho_s)
-    rhs = float(np.sqrt(purity(rho_l)) * np.sqrt(2.0 * pair.gap))
+    gap = _decide(x[1:], COMMUTE_TOL, None).pairs[0].gap
+    rhs = float(np.sqrt(np.sum(np.abs(x[0]) ** 2)) * np.sqrt(2.0 * gap))
     lhs = 2.0 * abs(float(im_delta))
     return ImaginarityWitness(
         lhs=lhs,

@@ -257,10 +257,11 @@ def state_set_to_document(
     """Serialize states (with optional labels) to the document dict."""
     if not states:
         raise DocumentError("document needs at least one state")
-    dim = states[0].dim
     for i, s in enumerate(states):
-        if s.dim != dim:
-            raise DocumentError(f"state {i} has dimension {s.dim}, not {dim}")
+        if not isinstance(s, PositiveOperator):
+            raise DocumentError(f"state {i} is a raw array, not a validated state")
+        if s.dim != states[0].dim:
+            raise DocumentError(f"state {i} has dimension {s.dim}, not {states[0].dim}")
     if labels is None:
         labels = [f"state_{i}" for i in range(1, len(states) + 1)]
     if len(labels) != len(states):
@@ -269,7 +270,7 @@ def state_set_to_document(
     if len(set(labels)) != len(labels):
         raise DocumentError("labels must be unique")
     return {
-        "dimension": dim,
+        "dimension": states[0].dim,
         "states": [
             {"label": lab, "matrix": matrix_to_json(s.matrix)}
             for lab, s in zip(labels, states)

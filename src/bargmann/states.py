@@ -181,17 +181,15 @@ def maximally_mixed(dim: int) -> PositiveOperator:
 
 
 def embed(rho: PositiveOperator, dim: int) -> PositiveOperator:
-    """Embed a state into a larger Hilbert space by zero-padding.
+    """Zero-pad a state (or a Hermitian raw array) into a larger Hilbert space.
 
     Needed e.g. to compare qubit collections against dimension-dependent
     criteria formulated in a bigger space.
     """
-    d0 = rho.dim
-    if dim < d0:
-        raise ShapeError(f"cannot embed dimension {d0} into smaller dimension {dim}")
-    out = np.zeros((dim, dim), dtype=complex)
-    out[:d0, :d0] = rho.matrix
-    return validate_state(out)
+    m = as_matrix(rho)
+    if dim < len(m):
+        raise ShapeError(f"cannot embed dimension {len(m)} into smaller dimension {dim}")
+    return validate_state(np.pad(m, (0, dim - len(m))))
 
 
 # --------------------------------------------------------------------------

@@ -513,10 +513,12 @@ _HALF = validate_state(np.eye(2, dtype=complex) / 2)
          "labels must be unique"),
         (lambda: bio.state_set_to_document([_HALF, maximally_mixed(3)]),
          "state 1 has dimension 3, not 2"),
+        (lambda: bio.state_set_to_document([np.eye(2) / 2]),
+         "state 0 is a raw array, not a validated state"),
     ],
     ids=["ragged-row", "non-pair-entry", "string-entry", "non-object", "empty-states",
          "no-matrix", "write-no-states", "write-label-count", "write-duplicate-labels",
-         "write-labels-equal-as-text", "write-mixed-dimensions"],
+         "write-labels-equal-as-text", "write-mixed-dimensions", "write-raw-array"],
 )
 def test_document_error_messages(build, message):
     with pytest.raises(DocumentError) as exc:

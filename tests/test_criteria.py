@@ -351,8 +351,18 @@ def test_kernel_names_the_first_pair_with_an_imaginary_residue():
         set_coherence_decide(states)
     with pytest.raises(NumericInconsistencyError, match=r"for pair \(1, 4\)$"):
         reduced_set_coherence(states, 1)
-    with pytest.raises(ShapeError, match="dimension mismatch: 2 vs 3"):
+    with pytest.raises(ShapeError, match=r"^dimension mismatch: \[2, 2, 3\]$"):
         set_coherence_decide([pure_state([1, 0]), pure_state([0, 1]), maximally_mixed(3)])
+
+
+@pytest.mark.parametrize(
+    "decide",
+    [set_coherence_decide, lambda s: gram_bloch(s, "orthonormal"), gram_rank_criterion],
+    ids=["set_coherence_decide", "gram_bloch", "gram_rank_criterion"],
+)
+def test_empty_state_list_is_refused_with_one_message(decide):
+    with pytest.raises(ValueError, match="^need at least one state$"):
+        decide([])
 
 
 def test_raw_arrays_are_checked_once_per_state(hermitian_calls):
@@ -369,6 +379,17 @@ def test_raw_arrays_are_checked_once_per_state(hermitian_calls):
     assert len(hermitian_calls) == n
     hermitian_calls.clear()
     bargmann_invariant(mats, (1, 1, 2, 2))  # two distinct letters
+    assert len(hermitian_calls) == 2
+    commuting = [s.matrix for s in commuting_set(4, 5, rng)]
+    hermitian_calls.clear()
+    # a certified set_incoherent verdict takes the reference's spectrum
+    assert reduced_set_coherence(commuting, 1).verdict == SET_INCOHERENT
+    assert len(hermitian_calls) == 5
+    hermitian_calls.clear()
+    imaginarity_witness(*mats[:3])
+    assert len(hermitian_calls) == 3
+    hermitian_calls.clear()
+    commutator_gap(mats[0], mats[1])
     assert len(hermitian_calls) == 2
 
 

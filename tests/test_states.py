@@ -250,3 +250,11 @@ def test_embed():
     np.testing.assert_allclose(big.matrix[2:, :], 0.0, atol=1e-15)
     with pytest.raises(ShapeError):
         embed(big, 2)
+
+
+def test_embed_takes_a_hermitian_raw_array():
+    big = embed(np.eye(2) / 2, 3)
+    assert big.normalized
+    np.testing.assert_array_equal(big.matrix, np.diag([0.5, 0.5, 0.0]))
+    with pytest.raises(HermiticityError):
+        embed(np.array([[0.5, 0.1], [0.0, 0.5]]), 3)
