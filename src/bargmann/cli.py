@@ -62,7 +62,6 @@ class Command:
     compute: Callable
     arguments: tuple
     reads_file: bool = True
-    file_help: "str | None" = None
 
 
 def _arg(*flags, **kwargs) -> tuple:
@@ -181,7 +180,7 @@ def _imaginarity(args, ops):
 COMMANDS = {
     "invariant": Command("evaluate one invariant tr(rho_l1 ... rho_lm)", _invariant, (
         _arg("--word", required=True, help="comma-separated 1-based labels, e.g. 1,2,3"),
-    ), file_help="state-set JSON document"),
+    )),
     "coherence": Command("decide set coherence from pairwise gaps", _coherence, (
         _tol(criteria.COMMUTE_TOL),
         _arg("--reference", type=int, default=None,
@@ -237,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         if command.reads_file:
-            p.add_argument("file", help=command.file_help)
+            p.add_argument("file", help="state-set JSON document")
         for flags, kwargs in command.arguments:
             p.add_argument(*flags, **kwargs)
         p.add_argument("--out", default=None, help="output file (default: stdout)")

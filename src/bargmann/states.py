@@ -200,18 +200,36 @@ def embed(rho: PositiveOperator, dim: int) -> PositiveOperator:
 class BlochVector:
     """Real coefficient vector of a state in a traceless Hermitian basis.
 
-    ``pauli`` convention (qubits only): rho = (I + <r, P>)/2 with
+    ``pauli`` convention (qubits only): rho = (tr rho I + <r, P>)/2 with
     P = (X, Y, Z), so r has length 3 and |r| <= 1 for normalized states.
 
     ``orthonormal`` convention (any d): r_a = tr(rho T_a) over the
     orthonormal traceless basis of :func:`traceless_hermitian_basis`,
     giving length d^2 - 1 and the identity
-    ``tr(rho_i rho_j) = 1/d + <r_i, r_j>`` for normalized states.
+    ``tr(rho_i rho_j) = tr rho_i tr rho_j / d + <r_i, r_j>``, which is
+    ``1/d + <r_i, r_j>`` for normalized states;
+    :func:`~bargmann.criteria.gram_bloch` builds the Bloch Gram from it.
     """
 
     dim: int
     components: np.ndarray
     convention: str
+
+
+def _traceless_coefficients(x: np.ndarray) -> np.ndarray:
+    """Coefficients tr(T_a X) over the last two axes of a matrix or a stack.
+
+    In the order of :func:`traceless_hermitian_basis`, with j < k row-major:
+    (X_jk + X_kj)/sqrt(2), then i(X_jk - X_kj)/sqrt(2), then for
+    l = 1..d-1 (sum_{m<l} X_mm - l X_ll)/sqrt(l(l+1)), from one ``cumsum``.
+    O(d^2) time and memory per matrix.
+    """
+    j, k = np.triu_indices(x.shape[-1], 1)
+    upper, lower, s = x[..., j, k], x[..., k, j], 1 / np.sqrt(2)
+    diag = np.diagonal(x, axis1=-2, axis2=-1)
+    l = np.arange(1, x.shape[-1])
+    levels = (np.cumsum(diag, axis=-1)[..., :-1] - l * diag[..., 1:]) * (1 / np.sqrt(l * (l + 1)))
+    return np.concatenate([(upper + lower) * s, 1j * (upper - lower) * s, levels], axis=-1)
 
 
 def traceless_hermitian_basis(dim: int) -> np.ndarray:
@@ -221,12 +239,13 @@ def traceless_hermitian_basis(dim: int) -> np.ndarray:
 
     1. symmetric pairs  (|j><k| + |k><j|)/sqrt(2)   for j < k, row-major;
     2. antisymmetric    -i(|j><k| - |k><j|)/sqrt(2) for j < k, same order;
-    3. diagonal         (sum_{m<=l} |m><m| - l |l><l|)/sqrt(l(l+1))
+    3. diagonal         (sum_{m<l} |m><m| - l |l><l|)/sqrt(l(l+1))
                         for l = 1..d-1.
 
     Normalization is ``tr(T_a T_b) = delta_ab`` (not the tr = 2 delta
     convention), so Gram matrices of these coefficients reproduce
-    ``tr(rho_i rho_j) - 1/d`` directly.
+    ``tr(rho_i rho_j) - 1/d`` directly.  No Bloch map builds it: entry
+    (j, i) of T_a is tr(T_a E_ij), the coefficient of the matrix unit E_ij.
 
     Returns
     -------
@@ -235,49 +254,27 @@ def traceless_hermitian_basis(dim: int) -> np.ndarray:
     """
     if dim < 1:
         raise ShapeError("dimension must be positive")
-    basis = np.zeros((dim * dim - 1, dim, dim), dtype=complex)
-    idx = 0
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            basis[idx, j, k] = 1 / np.sqrt(2)
-            basis[idx, k, j] = 1 / np.sqrt(2)
-            idx += 1
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            basis[idx, j, k] = -1j / np.sqrt(2)
-            basis[idx, k, j] = 1j / np.sqrt(2)
-            idx += 1
-    for level in range(1, dim):
-        scale = 1 / np.sqrt(level * (level + 1))
-        for m in range(level):
-            basis[idx, m, m] = scale
-        basis[idx, level, level] = -level * scale
-        idx += 1
-    return basis
+    units = np.eye(dim * dim).reshape(dim, dim, dim, dim)
+    return _traceless_coefficients(units).transpose(2, 1, 0)
 
 
 def bloch_map(rho: PositiveOperator, convention: str = "pauli") -> BlochVector:
     """Bloch vector of a state under the given convention.
 
-    ``pauli`` requires dimension 2 and returns (tr rho X, tr rho Y, tr rho Z);
-    ``orthonormal`` works in any dimension.
+    ``pauli`` requires dimension 2 and returns (tr rho X, tr rho Y, tr rho Z)
+    = (2 Re rho_01, -2 Im rho_01, rho_00 - rho_11); ``orthonormal`` works in
+    any dimension.  Both read the entries in closed form, in O(d^2) time and
+    memory; no basis is built.
     """
     m = as_matrix(rho)
     d = m.shape[0]
     if convention == "pauli":
         if d != 2:
             raise ShapeError(f"pauli convention requires dimension 2, got {d}")
-        r = np.array(
-            [
-                np.trace(m @ PAULI_X).real,
-                np.trace(m @ PAULI_Y).real,
-                np.trace(m @ PAULI_Z).real,
-            ]
-        )
+        r = np.array([2 * m[0, 1].real, -2 * m[0, 1].imag, (m[0, 0] - m[1, 1]).real])
         return BlochVector(dim=2, components=r, convention="pauli")
     if convention == "orthonormal":
-        basis = traceless_hermitian_basis(d)
-        r = np.einsum("aij,ji->a", basis, m).real
+        r = _traceless_coefficients(m).real
         return BlochVector(dim=d, components=r, convention="orthonormal")
     raise ValueError(f"unknown Bloch convention {convention!r}")
 

@@ -609,7 +609,7 @@ def test_gram_bloch_matches_bloch_vectors():
     # G = c (Z - t t^T / d) equals the Gram of the bloch_map vectors, also
     # for traces other than 1
     rng = np.random.default_rng(49)
-    for d in (2, 3, 5, 8):
+    for d in (2, 3, 5, 8, 64, 256):
         conventions = ("pauli", "orthonormal") if d == 2 else ("orthonormal",)
         states = [random_state(d, "ginibre_mixed", rng) for _ in range(3)]
         states += commuting_set(d, 2, rng) + [pure_state(rng.standard_normal(d))]

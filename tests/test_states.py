@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,9 @@ from bargmann.exceptions import (
 )
 from bargmann.states import (
     ENSEMBLES,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     bloch_map,
     commuting_set,
     embed,
@@ -102,7 +107,7 @@ def test_bloch_map_pauli():
 
 
 def test_bloch_map_orthonormal_maximally_mixed():
-    for d in (2, 3, 5):
+    for d in (1, 2, 3, 5):
         r = bloch_map(maximally_mixed(d), "orthonormal")
         assert r.components.shape == (d * d - 1,)
         np.testing.assert_allclose(r.components, 0.0, atol=1e-14)
@@ -117,6 +122,33 @@ def test_traceless_basis_is_orthonormal():
             assert np.max(np.abs(basis[a] - basis[a].conj().T)) < 1e-14
         gram = np.einsum("aij,bji->ab", basis, basis)
         np.testing.assert_allclose(gram, np.eye(d * d - 1), atol=1e-13)
+    assert traceless_hermitian_basis(1).shape == (0, 1, 1)
+    with pytest.raises(ShapeError):
+        traceless_hermitian_basis(0)
+    # the enumeration order is pinned, not only orthonormality
+    np.testing.assert_allclose(
+        traceless_hermitian_basis(2), np.array([PAULI_X, PAULI_Y, PAULI_Z]) / np.sqrt(2),
+        rtol=0, atol=1e-15,
+    )
+    t3 = traceless_hermitian_basis(3)
+    # symmetric (0, 1), antisymmetric (0, 1), diagonal levels 1 and 2
+    literal = {
+        0: np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]) / np.sqrt(2),
+        3: np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]]) / np.sqrt(2),
+        6: np.diag([1, -1, 0]) / np.sqrt(2),
+        7: np.diag([1, 1, -2]) / np.sqrt(6),
+    }
+    for a, t in literal.items():
+        np.testing.assert_allclose(t3[a], t, rtol=0, atol=1e-15)
+    # the pauli vector is the orthonormal one scaled by sqrt(2), in order
+    rng = np.random.default_rng(24)
+    for _ in range(10):
+        rho = random_state(2, "ginibre_mixed", rng)
+        np.testing.assert_allclose(
+            bloch_map(rho, "pauli").components,
+            np.sqrt(2) * bloch_map(rho, "orthonormal").components,
+            rtol=0, atol=1e-15,
+        )
 
 
 def test_qubit_from_bloch():
@@ -158,14 +190,34 @@ def test_overlap_identities():
         ra = bloch_map(a, "pauli").components
         rb = bloch_map(b, "pauli").components
         assert overlap(a, b) == pytest.approx((1 + ra @ rb) / 2, abs=1e-12)
-    # orthonormal identity in general dimension: tr(rho sigma) - 1/d = <r, s>
+    # orthonormal identity in general dimension, at traces other than 1:
+    # tr(rho sigma) = tr rho tr sigma / d + <r, s>
     for d in (2, 3, 4, 5):
         for _ in range(20):
-            a = random_state(d, "ginibre_mixed", rng)
-            b = random_state(d, "ginibre_mixed", rng)
+            ta, tb = 10.0 ** rng.uniform(-2, 2, size=2)
+            a = validate_state(ta * random_state(d, "ginibre_mixed", rng).matrix)
+            b = validate_state(tb * random_state(d, "ginibre_mixed", rng).matrix)
             ra = bloch_map(a, "orthonormal").components
             rb = bloch_map(b, "orthonormal").components
-            assert overlap(a, b) - 1 / d == pytest.approx(ra @ rb, abs=1e-12)
+            assert overlap(a, b) == pytest.approx(
+                a.trace * b.trace / d + ra @ rb, rel=0, abs=1e-12 * ta * tb
+            )
+
+
+@pytest.mark.parametrize("d", [48, 256])
+def test_bloch_map_builds_no_basis(d):
+    # a (d^2 - 1, d, d) basis tensor would take 81 MB at d=48 and 64 GiB at
+    # d=256; the closed form needs O(d^2)
+    rho = random_state(d, "ginibre_mixed", np.random.default_rng(d))
+    tracemalloc.start()
+    try:
+        r = bloch_map(rho, "orthonormal").components
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.shape == (d * d - 1,)
+    assert peak <= 16 * 2**20
+    assert np.dot(r, r) == pytest.approx(purity(rho) - 1 / d, rel=1e-12)
 
 
 def test_pauli_norm_bound():
