@@ -79,8 +79,8 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _tol(default: float) -> tuple:
-    return _arg("--tol", type=_tolerance, default=default, help=f"tolerance (default {default})")
+def _tol(default: float, what: str = "tolerance") -> tuple:
+    return _arg("--tol", type=_tolerance, default=default, help=f"{what} (default {default})")
 
 
 _SEED = _arg("--seed", type=int, default=0)
@@ -119,12 +119,9 @@ def _estimate_gap(args, ops):
 
 
 def _paper_check(args, _):
-    names = None
-    if args.fixtures is not None:
-        names = [n.strip() for n in args.fixtures.split(",") if n.strip()]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        report = fixtures.paper_check(names)
+        report = fixtures.paper_check(args.fixtures)
     for w in caught:  # one line each, not the source path and line warn() prints
         print(f"warning: {w.message}", file=sys.stderr)
     return report.to_json(), not report.passed
@@ -143,19 +140,15 @@ def _qubit_check(args, ops):
     if ops[0].dim != 2:
         raise BargmannError(f"qubit-check requires dimension 2, got {ops[0].dim}")
     states.require_normalized(ops, f"{args.command} requires normalized states")
-    pairs = []
-    all_commute = True
-    for l, k in itertools.combinations(range(len(ops)), 2):
-        res = criteria.qubit_criterion(
-            states.purity(ops[l]),
-            states.purity(ops[k]),
-            states.overlap(ops[l], ops[k]),
-            tol=args.tol,
-        )
-        all_commute = all_commute and res.commutes
-        pairs.append({"indices": [l + 1, k + 1], **res.to_dict()})
-    verdict = criteria.SET_INCOHERENT if all_commute else criteria.SET_COHERENT
-    return {"pairs": pairs, "verdict": verdict, "tol": args.tol}, not all_commute
+    p = [states.purity(s) for s in ops]
+    pairs = [
+        {"indices": [l + 1, k + 1],
+         **criteria.qubit_criterion(p[l], p[k], states.overlap(ops[l], ops[k]), args.tol).to_dict()}
+        for l, k in itertools.combinations(range(len(ops)), 2)
+    ]
+    coherent = not all(row["commutes"] for row in pairs)
+    verdict = criteria.SET_COHERENT if coherent else criteria.SET_INCOHERENT
+    return {"pairs": pairs, "verdict": verdict, "tol": args.tol}, coherent
 
 
 def _gram(args, ops):
@@ -174,7 +167,9 @@ def _facets(args, ops):
 
 def _imaginarity(args, ops):
     witness = criteria.imaginarity_witness(*_trio(args, ops))
-    return {**witness.to_dict(), "tol": args.tol}, abs(witness.im_delta) > args.tol
+    # |tr(ABC)| <= ||A||_F ||B||_F ||C||_F, so the finding is scale-free.
+    norms = math.prod(math.sqrt(states.purity(s)) for s in ops)
+    return {**witness.to_dict(), "tol": args.tol}, abs(witness.im_delta) > args.tol * norms
 
 
 COMMANDS = {
@@ -199,6 +194,7 @@ COMMANDS = {
     "paper-check": Command(
         "verify the built-in fixtures against their reference values", _paper_check, (
             _arg("--fixtures", default=None,
+                 type=lambda text: [n.strip() for n in text.split(",") if n.strip()],
                  help=f"comma-separated subset of {', '.join(fixtures.FIXTURE_NAMES)}"),
         ), reads_file=False),
     "random": Command("generate a random state-set document", _random, (
@@ -220,7 +216,8 @@ COMMANDS = {
         _tol(criteria.FACET_TOL),
     )),
     "imaginarity": Command("third-order imaginarity witness bound", _imaginarity, (
-        _tol(criteria.COMMUTE_TOL),
+        _tol(criteria.COMMUTE_TOL, "finding when |Im tr(rho1 rho2 rho3)| > tol times the "
+             "product of the three Frobenius norms"),
     )),
 }
 
@@ -261,8 +258,9 @@ def main(argv: "list[str] | None" = None) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             payload, finding = command.compute(args, ops)
         _write_report(payload, args.out)
-    except (BargmannError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BargmannError, ValueError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message, so its name stands in
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_FINDING if finding else EXIT_OK
 

@@ -577,7 +577,7 @@ def imaginarity_witness(
     x = _stacked([rho_l, rho_k, rho_s])
     im_delta = _product_trace(list(x)).imag
     # ||[rho_k, rho_s]||_F^2 = 2 gap >= 0 by construction.
-    gap = _decide(x[1:], COMMUTE_TOL, None).pairs[0].gap
+    gap = _pair_gaps(x[1], x[2:], COMMUTE_TOL, 2, (3,))[0].gap
     rhs = float(np.sqrt(np.sum(np.abs(x[0]) ** 2)) * np.sqrt(2.0 * gap))
     lhs = 2.0 * abs(float(im_delta))
     return ImaginarityWitness(

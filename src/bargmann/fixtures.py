@@ -280,12 +280,9 @@ FIXTURE_NAMES = tuple(_BUILDERS)
 
 def fixture(name: str) -> Fixture:
     """Build a fixture by name; see :data:`FIXTURE_NAMES`."""
-    try:
-        return _BUILDERS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown fixture {name!r}; expected one of {FIXTURE_NAMES}"
-        ) from None
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown fixture {name!r}; expected one of {FIXTURE_NAMES}")
+    return _BUILDERS[name]()
 
 
 # --------------------------------------------------------------------------
@@ -340,21 +337,18 @@ def paper_check(names: "list[str] | None" = None) -> PaperCheckReport:
     absolute (1e-10 for eigenvalue lists); verdicts and flags must match
     exactly.  Failures are recorded in the report rather than raised.
     """
-    selected = FIXTURE_NAMES if names is None else tuple(names)
-    for name in selected:
-        if name not in _BUILDERS:
-            raise ValueError(f"unknown fixture {name!r}")
+    # Built before any is checked, so an unknown name is refused up front.
+    selected = [fixture(name) for name in (FIXTURE_NAMES if names is None else names)]
     if not selected:
         warnings.warn("no fixtures selected; check passes vacuously", stacklevel=2)
     entries = []
-    for name in selected:
-        fix = fixture(name)
+    for fix in selected:
         for quantity, (compute, expected, tol) in fix.expected.items():
             computed = compute(list(fix.states))
             err = _deviation(expected, computed)
             entries.append(
                 PaperCheckEntry(
-                    fixture=name,
+                    fixture=fix.name,
                     quantity=quantity,
                     expected=expected,
                     computed=computed,

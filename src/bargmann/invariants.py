@@ -97,12 +97,9 @@ SCENARIO_NAMES = tuple(_CATALOG)
 
 def scenario_catalog(name: str) -> BargmannScenario:
     """Fixed scenario by name: one of winc2, c3, w3, w23."""
-    try:
-        return BargmannScenario(name=name, words=_CATALOG[name])
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}"
-        ) from None
+    if name not in _CATALOG:
+        raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
+    return BargmannScenario(name=name, words=_CATALOG[name])
 
 
 def bargmann_invariant(states: list[PositiveOperator], word: Word) -> complex:

@@ -24,8 +24,8 @@ __all__ = [
     "hermitian_eig",
 ]
 
-# Largest entrywise |A - A†| tolerated: about ten times double-precision
-# accumulation error at the target dimensions (d <= a few hundred).
+# Largest entrywise |A - A†| per unit of entry size (see as_hermitian_matrix):
+# about ten times double-precision accumulation error at d <= a few hundred.
 HERM_TOL = 1e-12
 
 
@@ -53,11 +53,15 @@ def as_complex_matrix(a: "np.ndarray | Iterable") -> np.ndarray:
 
 
 def as_hermitian_matrix(a: "np.ndarray | Iterable") -> np.ndarray:
-    """:func:`as_complex_matrix`, require ``max |A - A†| <= HERM_TOL`` entrywise,
-    and return the exactly Hermitian part ``(A + A†)/2``.
+    """:func:`as_complex_matrix`, require ``max |A - A†| <= HERM_TOL max(1, a)``
+    entrywise, and return the exactly Hermitian part ``(A + A†)/2``.
 
-    Entries past half the double range can overflow that check, which then
-    raises :class:`NumericError`."""
+    The bound scales as rounding does: an entry of U diag(w) U† is a d-term
+    sum off by up to about d eps lambda_max.  ``a``, the largest |Re A_ij| or
+    |Im A_ij|, is within sqrt(2) of max |A_ij|, cannot overflow, and is read
+    only past ``HERM_TOL``; at unit trace |A_ij| <= lambda_max <= 1, so the
+    bound there is ``HERM_TOL``.  Entries past half the double range can
+    overflow the check, which then raises :class:`NumericError`."""
     m = as_complex_matrix(a)
     with np.errstate(over="ignore", invalid="ignore"):
         sym = (m + m.conj().T) / 2.0
@@ -66,9 +70,11 @@ def as_hermitian_matrix(a: "np.ndarray | Iterable") -> np.ndarray:
     if not math.isfinite(half_dev):
         raise NumericError("entries past half the double range overflow (A ± A†)/2")
     if 2 * half_dev > HERM_TOL:
-        raise HermiticityError(
-            f"matrix is not Hermitian: max |A - A†| = {2 * half_dev:.3e} > {HERM_TOL:.3e}"
-        )
+        bound = HERM_TOL * max(1.0, float(np.max(np.abs(m.real))), float(np.max(np.abs(m.imag))))
+        if 2 * half_dev > bound:
+            raise HermiticityError(
+                f"matrix is not Hermitian: max |A - A†| = {2 * half_dev:.3e} > {bound:.3e}"
+            )
     return sym
 
 
@@ -114,7 +120,7 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Parameters
     ----------
     a : array_like
-        Square matrix; must satisfy ``max |A - A†| <= HERM_TOL`` entrywise.
+        Square matrix, Hermitian to ``HERM_TOL`` as :func:`as_hermitian_matrix` checks.
 
     Returns
     -------

@@ -73,7 +73,7 @@ class PositiveOperator:
         Whether ``|trace - 1| <= NORM_TOL`` held at validation; operations
         that need unit trace check it with :func:`require_normalized`.
     psd_slack : float
-        Smallest eigenvalue found at validation (>= -PSD_TOL).
+        Smallest eigenvalue found at validation (>= -PSD_TOL max(1, spectral radius)).
     eigenvalues : np.ndarray
         Ascending spectrum found at validation.
     """
@@ -92,9 +92,13 @@ class PositiveOperator:
 def validate_state(matrix: np.ndarray) -> PositiveOperator:
     """Validate a matrix as a (possibly unnormalized) quantum state.
 
-    Hermiticity is checked to ``HERM_TOL`` entrywise, eigenvalues below
-    ``-PSD_TOL`` raise :class:`PositivityError`, and the state is flagged
-    ``normalized`` when ``|trace - 1| <= NORM_TOL``.
+    Hermiticity is checked to ``HERM_TOL`` per unit of entry size
+    (:func:`~bargmann.numkernel.as_hermitian_matrix`), eigenvalues below
+    ``-PSD_TOL max(1, r)``, r the spectral radius, raise :class:`PositivityError`,
+    and the state is flagged ``normalized`` when ``|trace - 1| <= NORM_TOL``.
+    ``eigvalsh`` is backward stable, so by Weyl's inequality each eigenvalue
+    is off by at most about d eps r: the bound scales as rounding does, and
+    at unit trace (r <= 1) it is ``PSD_TOL``.
 
     Parameters
     ----------
@@ -107,10 +111,9 @@ def validate_state(matrix: np.ndarray) -> PositiveOperator:
     """
     m, w = hermitian_eig(matrix)
     lo = float(w[0])
-    if lo < -PSD_TOL:
-        raise PositivityError(
-            f"state has negative eigenvalue {lo:.6e} (tolerance {PSD_TOL:.1e})"
-        )
+    bound = PSD_TOL * max(1.0, -lo, float(w[-1]))  # w ascends: r = max(-w[0], w[-1])
+    if lo < -bound:
+        raise PositivityError(f"state has negative eigenvalue {lo:.6e} (tolerance {bound:.1e})")
     with np.errstate(over="ignore"):
         tr = float(np.trace(m).real)
     if not math.isfinite(tr):

@@ -6,7 +6,7 @@ import pytest
 from bargmann import io as bio
 from bargmann.cli import _write_report, main
 from bargmann.exceptions import DocumentError
-from bargmann.fixtures import fixture
+from bargmann.fixtures import FIXTURE_NAMES, fixture
 from bargmann.states import (
     commuting_set,
     maximally_mixed,
@@ -157,7 +157,9 @@ def test_paper_check_command(capsys, tmp_path):
     assert {row["fixture"] for row in report} == {"trine"}
 
     assert main(["paper-check", "--fixtures", "unknown_thing"]) == 2
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown fixture 'unknown_thing'; expected one of {FIXTURE_NAMES}\n"
 
     # an empty filter passes vacuously, with one warning line and no source path
     assert main(["paper-check", "--fixtures", ""]) == 0
@@ -222,6 +224,23 @@ def test_qubit_check_command(fixture_file, capsys):
     assert main(["qubit-check", fixture_file("c4_quartet")]) == 2
 
 
+def test_qubit_check_reads_each_purity_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "qubits.json"
+    bio.save_state_set(path, commuting_set(2, 4, np.random.default_rng(8)))
+    calls = []
+
+    def counting(rho):
+        calls.append(1)
+        return purity(rho)
+
+    monkeypatch.setattr("bargmann.states.purity", counting)
+    code, payload = run_json(capsys, ["qubit-check", str(path)])
+    assert code == 0
+    assert payload["verdict"] == "set_incoherent"
+    assert len(payload["pairs"]) == 6 and all(p["commutes"] for p in payload["pairs"])
+    assert len(calls) == 4
+
+
 def test_gram_command(fixture_file, capsys):
     code, payload = run_json(capsys, ["gram", fixture_file("c4_quartet")])
     assert code == 1
@@ -280,6 +299,39 @@ def test_imaginarity_command(fixture_file, capsys):
     code, payload = run_json(capsys, ["imaginarity", fixture_file("main_sigma_trio")])
     assert code == 0
     assert payload["im_delta"] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+def test_imaginarity_finding_is_scale_free(scale, tmp_path, capsys):
+    # |Im tr(rho1 rho2 rho3)| is measured against the three Frobenius norms:
+    # at scale 1e-4 it is 2.5e-13, below an absolute 1e-10
+    path = tmp_path / "mub.json"
+    bio.save_state_set(path, [validate_state(scale * s.matrix) for s in fixture("mub_trio").states])
+    code, payload = run_json(capsys, ["imaginarity", str(path)])
+    assert code == 1
+    assert payload["im_delta"] == pytest.approx(0.25 * scale**3, rel=1e-12)
+
+
+def test_imaginarity_real_trio_at_large_trace_is_no_finding(tmp_path, capsys):
+    rng = np.random.default_rng(9)
+    real = [g @ g.T for g in rng.standard_normal((3, 3, 3))]
+    path = tmp_path / "real.json"
+    bio.save_state_set(path, [validate_state(1e4 * m / np.trace(m)) for m in real])
+    code, payload = run_json(capsys, ["imaginarity", str(path)])
+    assert code == 0
+    assert payload["im_delta"] == 0.0
+
+
+def test_imaginarity_names_the_pair_that_overflows(tmp_path, capsys):
+    rng = np.random.default_rng(1)
+    g = [random_state(2, "ginibre_mixed", rng) for _ in range(3)]
+    path = tmp_path / "trio.json"
+    bio.save_state_set(path, [validate_state(c * s.matrix) for c, s in zip((1e-200, 1e100, 1e100), g)])
+    assert main(["imaginarity", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: pair invariants are not finite")
+    assert captured.err.endswith("for pair (2, 3)\n")
 
 
 def test_gram_conventions_differ_by_two_and_share_the_rank(fixture_file, capsys):
@@ -438,11 +490,31 @@ def test_inputs_out_of_range_are_one_error_line(fixture_file, tmp_path, capsys):
     for argv in (
         ["estimate", fixture_file("emc_sigma_pair"), "--word", "1,2", "--shots", str(10**19)],
         ["coherence", str(deep)],
+        ["random", "--dim", "0", "--count", "1"],
+        ["random", "--dim", "2", "--count", "0", "--ensemble", "commuting"],
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "error",
+    [MemoryError("Unable to allocate 64.0 TiB for an array with shape (2097152, 2097152) "
+                 "and data type complex128"), MemoryError()],
+    ids=["numpy-message", "bare"],
+)
+def test_out_of_memory_is_one_error_line(error, capsys, monkeypatch):
+    # exit 1 is a finding, so running out of memory must not end there
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr("bargmann.states.random_state", exhausted)
+    assert main(["random", "--dim", "2", "--count", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {str(error) or 'MemoryError'}\n"
 
 
 def test_reports_are_clean_json_on_stdout(fixture_file, capsys):

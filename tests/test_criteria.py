@@ -545,6 +545,10 @@ def test_qubit_fourth_order_accepts_bloch_vectors():
     # appending the maximally mixed state halves the third-order invariant
     val = qubit_fourth_order(*vecs)
     assert 2 * val == pytest.approx(0.25 + 0.25j, abs=1e-12)
+    with pytest.raises(ValueError, match="requires pauli Bloch vectors"):
+        qubit_fourth_order(bloch_map(states[0], "orthonormal"), *vecs[1:])
+    with pytest.raises(ShapeError, match="expected a 3-vector"):
+        qubit_fourth_order(np.ones(4), *vecs[1:])
 
 
 # --------------------------------------------------------------------------
@@ -765,6 +769,17 @@ def test_imaginarity_witness_commuting_triple():
     wit = imaginarity_witness(*states)
     assert wit.lhs == pytest.approx(0.0, abs=1e-10)
     assert wit.satisfied
+
+
+def test_imaginarity_witness_names_the_pair_that_overflows():
+    # rho_1 is tiny, so tr(rho_1 rho_2 rho_3) is finite, but the gap of
+    # states 2 and 3 overflows
+    rng = np.random.default_rng(1)
+    g = [random_state(2, "ginibre_mixed", rng) for _ in range(3)]
+    trio = [validate_state(c * s.matrix) for c, s in zip((1e-200, 1e100, 1e100), g)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=r"for pair \(2, 3\)$"):
+            imaginarity_witness(*trio)
 
 
 def test_imaginarity_witness_random_sweep():

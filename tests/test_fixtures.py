@@ -26,11 +26,20 @@ def test_fixture_names_and_shapes():
         assert fix.source
 
 
-def test_unknown_fixture():
-    with pytest.raises(ValueError):
+def test_unknown_fixture(monkeypatch):
+    # one message, naming the choices, from fixture() and paper_check alike
+    message = r"^unknown fixture 'nonexistent'; expected one of \('mub_trio', "
+    with pytest.raises(ValueError, match=message):
         fx.fixture("nonexistent")
-    with pytest.raises(ValueError):
-        fx.paper_check(["nonexistent"])
+    with pytest.raises(ValueError, match=message):
+        fx.paper_check(["trine", "nonexistent"])
+
+    def broken():  # a KeyError inside a builder is its own, not an unknown name
+        raise KeyError("inner")
+
+    monkeypatch.setitem(fx._BUILDERS, "trine", broken)
+    with pytest.raises(KeyError, match="inner"):
+        fx.fixture("trine")
 
 
 def test_emc_pairs_share_invariants_but_differ_in_verdict():
@@ -147,6 +156,20 @@ def test_paper_check_empty_filter_warns():
     assert report.passed
     assert report.entries == ()
     assert report.max_abs_error == 0.0
+
+
+def test_paper_check_fails_a_value_of_the_wrong_shape(monkeypatch):
+    base = fx.fixture("trine")
+    wrong = fx.Fixture(
+        name=base.name,
+        states=base.states,
+        expected={"pair": fx.Check(lambda s: (0.5, 0.5), (0.5,))},
+        source=base.source,
+    )
+    monkeypatch.setitem(fx._BUILDERS, "trine", lambda: wrong)
+    report = fx.paper_check(["trine"])
+    assert not report.passed
+    assert report.entries[0].abs_error == float("inf")
 
 
 def test_paper_check_flags_perturbed_fixture(monkeypatch):

@@ -148,6 +148,8 @@ def test_classical_invariant_basics():
         classical_invariant(uniform, (1, 3))
     with pytest.raises(ValueError):
         ClassicalRealization(basis_size=2, weights=[[1.0, -0.5]])
+    with pytest.raises(ValueError, match=r"must have shape \(n_letters, 3\)"):
+        ClassicalRealization(basis_size=3, weights=[[0.5, 0.5]])
 
 
 def test_classical_invariant_matches_commuting_pair():

@@ -25,6 +25,8 @@ def test_as_complex_matrix_rejects_bad_input():
         as_complex_matrix([[np.nan, 0], [0, 1]])
     with pytest.raises(ShapeError):
         as_complex_matrix([[np.inf * 1j, 0], [0, 1]])
+    with pytest.raises(ShapeError, match="dimension must be positive"):
+        as_complex_matrix(np.zeros((0, 0)))
 
 
 def test_chain_product_trace_identity():

@@ -57,6 +57,32 @@ def test_validate_state_rejections():
         validate_state(np.zeros((2, 2), dtype=complex))
 
 
+def _rank32_commuting(trace, n, rng):
+    """n rank-32 d=64 states of one trace, built as (U diag) U† in one Haar basis."""
+    u = haar_unitary(64, rng)
+    spectra = np.zeros((n, 64))
+    spectra[:, :32] = trace * rng.dirichlet(np.ones(32), size=n)
+    return [(u * w) @ u.conj().T for w in spectra]
+
+
+@pytest.mark.parametrize("trace", [1e6, 1e8])
+def test_validate_state_bounds_scale_with_the_operand(trace):
+    # rounding in (U diag) U† grows with the trace: at 1e6 it exceeds an
+    # absolute HERM_TOL, at 1e8 the smallest eigenvalue drops below -PSD_TOL
+    mats = _rank32_commuting(trace, 5, np.random.default_rng(0))
+    for m in mats:
+        assert validate_state(m).trace == pytest.approx(trace)
+    m = validate_state(mats[0]).matrix
+    skew = np.zeros((64, 64))
+    skew[0, 1], skew[1, 0] = 1.0, -1.0
+    with pytest.raises(HermiticityError):
+        validate_state(m + 1e-6 * np.max(np.abs(m)) * skew)
+    w, v = np.linalg.eigh(m)
+    w[0] = -1e-6 * w[-1]
+    with pytest.raises(PositivityError):
+        validate_state((v * w) @ v.conj().T)
+
+
 def test_validate_state_scans_once(scan_calls):
     validate_state(np.diag([0.5, 0.3, 0.2]).astype(complex))
     assert len(scan_calls) == 1
@@ -260,6 +286,24 @@ def test_random_state_properties():
         assert np.linalg.eigvalsh(op.matrix)[0] > 0
     with pytest.raises(ValueError):
         random_state(3, "bogus", rng)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: overlap(maximally_mixed(2), maximally_mixed(3)), ShapeError,
+         "dimension mismatch: 2 vs 3"),
+        (lambda: pure_state([0, 0]), ValueError, "zero vector"),
+        (lambda: random_state(0, "ginibre_mixed", np.random.default_rng(0)), ShapeError,
+         "dimension must be positive"),
+        (lambda: commuting_set(2, 0, np.random.default_rng(0)), ShapeError,
+         "dimension and count must be positive"),
+    ],
+    ids=["overlap-dims", "pure-zero", "random-dim0", "commuting-n0"],
+)
+def test_bad_arguments_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_random_state_dim1_and_determinism():
