@@ -167,9 +167,12 @@ def _facets(args, ops):
 
 def _imaginarity(args, ops):
     witness = criteria.imaginarity_witness(*_trio(args, ops))
-    # |tr(ABC)| <= ||A||_F ||B||_F ||C||_F, so the finding is scale-free.
-    norms = math.prod(math.sqrt(states.purity(s)) for s in ops)
-    return {**witness.to_dict(), "tol": args.tol}, abs(witness.im_delta) > args.tol * norms
+    # |tr(ABC)| <= ||A||_F ||B||_F ||C||_F, so the finding is scale-free.  With
+    # each norm m 2^e (frexp), |Im| 2^-(sum of e) > tol (product of m) is that
+    # test with no product past the double range.
+    m, e = zip(*(math.frexp(states._frobenius(s.matrix)) for s in ops))
+    finding = math.ldexp(abs(witness.im_delta), -sum(e)) > args.tol * math.prod(m)
+    return {**witness.to_dict(), "tol": args.tol}, finding
 
 
 COMMANDS = {

@@ -30,7 +30,14 @@ from .exceptions import (
     ShapeError,
 )
 from .numkernel import _product_trace
-from .states import BlochVector, PositiveOperator, as_matrix
+from .states import (
+    BlochVector,
+    PositiveOperator,
+    _binary_scaled,
+    _frobenius,
+    _pauli_vector,
+    as_matrix,
+)
 
 __all__ = [
     "COMMUTE_TOL",
@@ -193,12 +200,13 @@ def commutator_gap(
 ) -> PairGap:
     """Decide commutativity of a pair from two fourth-order traces.
 
-    The one pair of :func:`set_coherence_decide` on ``[op1, op2]``, labelled
-    (1, 2).  One product M = AB gives ``delta_llkk = tr(A^2 B^2) = ||M||_F^2``,
-    ``delta_lklk = tr(ABAB)`` and ``gap = 1/2 ||M - M†||_F^2``; the pair
-    commutes iff the two traces agree, i.e. iff the gap vanishes.  Positivity
-    of the inputs is not required: the identity holds for arbitrary Hermitian
-    operators.  |Im tr(ABAB)| above ``IM_ERROR_TOL ||A||_F^2 ||B||_F^2`` raises
+    The pair kernel of :func:`set_coherence_decide`, with no set report; the
+    pair is labelled (1, 2).  One product M = AB gives ``delta_llkk =
+    tr(A^2 B^2) = ||M||_F^2``, ``delta_lklk = tr(ABAB)`` and ``gap =
+    1/2 ||M - M†||_F^2``; the pair commutes iff the two traces agree, i.e.
+    iff the gap vanishes.  Positivity of the inputs is not required: the
+    identity holds for arbitrary Hermitian operators.  |Im tr(ABAB)| above
+    ``IM_ERROR_TOL ||A||_F^2 ||B||_F^2`` raises
     :class:`NumericInconsistencyError`; a non-finite tr(A^2 B^2) or gap
     (overflow) raises :class:`NumericError`.
 
@@ -210,7 +218,8 @@ def commutator_gap(
     tol : float
         Gap at or below this threshold counts as commuting.
     """
-    return _decide(_stacked([op1, op2]), tol, None).pairs[0]
+    x = _stacked([op1, op2])
+    return _pair_gaps(x[0], x[1:], tol, 1, (2,))[0]
 
 
 def _stacked(states: list[PositiveOperator]) -> np.ndarray:
@@ -364,17 +373,6 @@ def qubit_criterion(
     return QubitCriterionResult(residual=residual, commutes=bool(residual <= tol))
 
 
-def _vec3(r: "BlochVector | np.ndarray") -> np.ndarray:
-    if isinstance(r, BlochVector):
-        if r.convention != "pauli":
-            raise ValueError("qubit_fourth_order requires pauli Bloch vectors")
-        return np.asarray(r.components, dtype=float)
-    v = np.asarray(r, dtype=float).reshape(-1)
-    if v.shape != (3,):
-        raise ShapeError(f"expected a 3-vector, got shape {v.shape}")
-    return v
-
-
 def qubit_fourth_order(
     r1: "BlochVector | np.ndarray",
     r2: "BlochVector | np.ndarray",
@@ -389,7 +387,7 @@ def qubit_fourth_order(
     fixes the sign of the imaginary part and is validated against direct
     traces in the test suite.
     """
-    v1, v2, v3, v4 = _vec3(r1), _vec3(r2), _vec3(r3), _vec3(r4)
+    v1, v2, v3, v4 = map(_pauli_vector, (r1, r2, r3, r4))
     a0 = (
         (1.0 + v1 @ v2) * (1.0 + v3 @ v4)
         - (1.0 - v1 @ v3) * (1.0 - v2 @ v4)
@@ -570,19 +568,51 @@ class ImaginarityWitness(_Report):
     im_delta: float
 
 
+def _ldexp(value: float, exponent: int, message: str) -> float:
+    """``value * 2^exponent``; :class:`NumericError` with ``message`` when that
+    overflows the double range.  An underflow rounds, as any product does."""
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        raise NumericError(message) from None
+
+
 def imaginarity_witness(
     rho_l: PositiveOperator, rho_k: PositiveOperator, rho_s: PositiveOperator
 ) -> ImaginarityWitness:
-    """Evaluate the imaginarity bound for an ordered state triple."""
+    """Evaluate the imaginarity bound for an ordered state triple.
+
+    The witness is computed on the trio y_i = 2^-e_i rho_i of
+    :func:`~bargmann.states._binary_scaled`, whose largest |Re| or |Im|
+    entries lie in [1/2, 1), and lhs, rhs and im_delta are scaled back by
+    2^E, E = e_l + e_k + e_s.  Both sides of the bound scale by that same
+    power of two, exactly, so no step leaves the double range where the
+    result does not.  A result past it raises :class:`NumericError`, and so
+    does a pair (k, s) whose tr(rho_k^2 rho_s^2) or gap overflows, as in
+    :func:`commutator_gap`; a result below it rounds to a subnormal or 0.
+
+    ``satisfied`` is lhs <= rhs + 1e-10 on the scaled trio, hence
+    2^-E lhs <= 2^-E rhs + 1e-10 on the given one: a slack relative to the
+    operands.  Each side sums products of three entries, so its rounding is
+    about d eps ||y_l||_F ||y_k||_F ||y_s||_F, and for states ||y||_F <= tr y
+    < d (the largest entry of a positive matrix is on its diagonal), which
+    bounds the error of the two sides by about 3 d^4 eps: below 1e-10 up to
+    d = 16.
+    """
     x = _stacked([rho_l, rho_k, rho_s])
-    im_delta = _product_trace(list(x)).imag
-    # ||[rho_k, rho_s]||_F^2 = 2 gap >= 0 by construction.
-    gap = _pair_gaps(x[1], x[2:], COMMUTE_TOL, 2, (3,))[0].gap
-    rhs = float(np.sqrt(np.sum(np.abs(x[0]) ** 2)) * np.sqrt(2.0 * gap))
-    lhs = 2.0 * abs(float(im_delta))
+    y, e = _binary_scaled(x)
+    im = _product_trace(list(y)).imag
+    # ||[y_k, y_s]||_F^2 = 2 gap >= 0 by construction.
+    pair = _pair_gaps(y[1], y[2:], COMMUTE_TOL, 2, (3,))[0]
+    lhs, rhs = 2.0 * abs(im), _frobenius(y[0]) * math.sqrt(2.0 * pair.gap)
+    scale = int(e.sum())
+    im_delta = _ldexp(im, scale, "trace of chained product is not finite")
+    _ldexp(max(pair.delta_llkk, pair.gap), 2 * int(e[1] + e[2]),
+           "pair invariants are not finite: tr(A^2 B^2) overflows for pair (2, 3)")
+    bound = "imaginarity bound is not finite"
     return ImaginarityWitness(
-        lhs=lhs,
-        rhs=rhs,
+        lhs=_ldexp(lhs, scale, bound),
+        rhs=_ldexp(rhs, scale, bound),
         satisfied=bool(lhs <= rhs + 1e-10),
-        im_delta=float(im_delta),
+        im_delta=im_delta,
     )

@@ -113,12 +113,6 @@ _GRAM_EIGENVALUES_C4 = "gram_eigenvalues_embedded_c4", lambda s: gram_rank_crite
 ).eigenvalues
 
 
-def _basis_ket(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
 def _mub_trio() -> Fixture:
     states = (
         pure_state([1, 0]),
@@ -141,7 +135,8 @@ def _mub_trio() -> Fixture:
 
 
 def _main_sigma_trio() -> Fixture:
-    states = tuple(pure_state(_basis_ket(5, k)) for k in (0, 2, 4))
+    kets = np.eye(5, dtype=complex)
+    states = tuple(pure_state(kets[k]) for k in (0, 2, 4))
     return Fixture(
         name="main_sigma_trio",
         states=states,
@@ -151,11 +146,11 @@ def _main_sigma_trio() -> Fixture:
 
 
 def _main_sigma_prime_trio() -> Fixture:
-    plus = (_basis_ket(3, 0) + _basis_ket(3, 1)) / np.sqrt(2)
+    kets = np.eye(3, dtype=complex)
     states = (
-        pure_state(_basis_ket(3, 0)),
-        pure_state(plus),
-        pure_state(_basis_ket(3, 2)),
+        pure_state(kets[0]),
+        pure_state((kets[0] + kets[1]) / np.sqrt(2)),
+        pure_state(kets[2]),
     )
     return Fixture(
         name="main_sigma_prime_trio",
@@ -190,7 +185,7 @@ def _trine() -> Fixture:
 
 
 def _c4_quartet() -> Fixture:
-    kets = [_basis_ket(4, k) for k in range(4)]
+    kets = np.eye(4, dtype=complex)
     a = (kets[0] + kets[2]) / np.sqrt(2)
     b = (kets[1] + kets[3]) / np.sqrt(2)
 

@@ -139,6 +139,8 @@ class ClassicalRealization:
             raise ValueError(
                 f"weights must have shape (n_letters, {self.basis_size}), got {w.shape}"
             )
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite (no NaN/Inf)")
         if np.min(w) < -1e-12:
             raise ValueError(f"negative weight {np.min(w):.3e}")
         object.__setattr__(self, "weights", w)

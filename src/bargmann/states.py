@@ -153,6 +153,24 @@ def as_matrix(op: "PositiveOperator | np.ndarray") -> np.ndarray:
     return as_hermitian_matrix(op)
 
 
+def _binary_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(y, e)`` for a stack ``x`` of finite complex matrices, (n, d, d):
+    y_i = 2^-e_i x_i, e_i from ``frexp`` of the largest |Re| or |Im| entry of
+    x_i, which y_i holds in [1/2, 1) (e_i = 0 for a zero matrix).  A power of
+    two scales exactly, so sums and products of the y_i round as those of the
+    x_i do wherever neither leaves the double range."""
+    f = x.view(float)
+    e = np.frexp(np.max(np.abs(f), axis=(1, 2)))[1]
+    return np.ldexp(f, -e[:, None, None]).view(complex), e
+
+
+def _frobenius(m: np.ndarray) -> float:
+    """||m||_F of a finite matrix, its squares summed on the scaled matrix of
+    :func:`_binary_scaled`, so that none overflows or underflows."""
+    y, e = _binary_scaled(m[None])
+    return math.ldexp(math.sqrt(float(np.sum(np.abs(y) ** 2))), int(e[0]))
+
+
 def purity(rho: PositiveOperator) -> float:
     """``tr(rho^2)``; equals 1 exactly for normalized pure states."""
     m = as_matrix(rho)
@@ -282,11 +300,22 @@ def bloch_map(rho: PositiveOperator, convention: str = "pauli") -> BlochVector:
     raise ValueError(f"unknown Bloch convention {convention!r}")
 
 
-def qubit_from_bloch(r: Sequence[float]) -> PositiveOperator:
-    """Qubit state (I + <r, P>)/2 from a pauli Bloch vector; inverse of bloch_map."""
-    vec = np.asarray(r, dtype=float).reshape(-1)
-    if vec.shape != (3,):
-        raise ShapeError(f"pauli Bloch vector must have 3 components, got {vec.shape}")
+def _pauli_vector(r: "BlochVector | Sequence[float]") -> np.ndarray:
+    """The 3-vector of a pauli :class:`BlochVector` or of a 3-sequence."""
+    if isinstance(r, BlochVector):
+        if r.convention != "pauli":
+            raise ValueError(f"requires pauli Bloch vectors, got the {r.convention} convention")
+        r = r.components
+    v = np.asarray(r, dtype=float).reshape(-1)
+    if v.shape != (3,):
+        raise ShapeError(f"expected a 3-vector, got shape {v.shape}")
+    return v
+
+
+def qubit_from_bloch(r: "BlochVector | Sequence[float]") -> PositiveOperator:
+    """Qubit state (I + <r, P>)/2 from a pauli :class:`BlochVector` or its 3
+    components; inverse of ``bloch_map(rho, "pauli")`` for unit-trace rho."""
+    vec = _pauli_vector(r)
     nrm = float(np.linalg.norm(vec))
     if nrm > 1 + 1e-12:
         raise PositivityError(f"Bloch vector norm {nrm:.12f} exceeds 1")

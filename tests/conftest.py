@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bargmann import numkernel
-from bargmann.states import haar_unitary, validate_state
+from bargmann.states import haar_unitary, random_state, validate_state
 
 
 def _counted(monkeypatch, original) -> list:
@@ -60,3 +60,12 @@ def near_degenerate_commuting():
     u = haar_unitary(4, rng)
     spectra = [np.array([0.4, 0.3 + 5e-9, 0.3, 0.0]), *rng.dirichlet(np.ones(4), size=2)]
     return [validate_state((u * (w / w.sum())) @ u.conj().T) for w in spectra]
+
+
+@pytest.fixture
+def ginibre_trio():
+    """Function of three scales: the Ginibre qubit trio drawn three times from
+    ``default_rng(1)``, each matrix multiplied by its scale and validated."""
+    rng = np.random.default_rng(1)
+    mats = [random_state(2, "ginibre_mixed", rng).matrix for _ in range(3)]
+    return lambda scales: [validate_state(c * m) for c, m in zip(scales, mats)]

@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from bargmann import io as bio
 from bargmann.cli import _write_report, main
+from bargmann.criteria import imaginarity_witness
 from bargmann.exceptions import DocumentError
 from bargmann.fixtures import FIXTURE_NAMES, fixture
 from bargmann.states import (
@@ -322,6 +324,20 @@ def test_imaginarity_real_trio_at_large_trace_is_no_finding(tmp_path, capsys):
     assert payload["im_delta"] == 0.0
 
 
+@pytest.mark.parametrize("scales", [(1e160, 1e-100, 1e-100), (1e-100,) * 3, (1e-170, 1.0, 1.0)])
+def test_imaginarity_outside_unit_scale_is_a_finite_finding(scales, ginibre_trio, tmp_path, capsys):
+    # |Im| is about 0.1 of the norms' product; at the parent the first trio
+    # overflowed to rhs = nan (exit 2) and the others underflowed to rhs = 0
+    path = tmp_path / "trio.json"
+    bio.save_state_set(path, ginibre_trio(scales))
+    code, payload = run_json(capsys, ["imaginarity", str(path)])
+    assert code == 1
+    assert payload["satisfied"] is True
+    assert all(math.isfinite(payload[k]) for k in ("lhs", "rhs", "im_delta"))
+    rhs = imaginarity_witness(*ginibre_trio((1.0, 1.0, 1.0))).rhs * math.prod(scales)
+    assert payload["rhs"] == pytest.approx(rhs, rel=1e-12, abs=0)
+
+
 def test_imaginarity_names_the_pair_that_overflows(tmp_path, capsys):
     rng = np.random.default_rng(1)
     g = [random_state(2, "ginibre_mixed", rng) for _ in range(3)]
@@ -456,13 +472,14 @@ def test_non_finite_pair_invariants_exit_2(tmp_path, capsys):
     [
         (["coherence"], 1e200, 3, "error: pair invariants are not finite"),
         (["imaginarity"], 1e200, 3, "error: trace of chained product is not finite"),
+        (["imaginarity"], 1e300, 2, "error: trace of chained product is not finite"),
         (["invariant", "--word", "1,2"], 1e200, 3,
          "error: trace of chained product is not finite"),
         (["gram"], 1e160, 2, "error: Bloch Gram matrix is not finite"),
         # diag(1e308, 1e308) is finite, but its Hermitian part (A + A†)/2 is not
         (["coherence"], None, 2, "error: entries past half the double range"),
     ],
-    ids=["coherence", "imaginarity", "invariant", "gram", "hermitian-part"],
+    ids=["coherence", "imaginarity", "imaginarity-qubits", "invariant", "gram", "hermitian-part"],
 )
 def test_overflow_is_one_error_line(argv, trace, dim, message, tmp_path, capsys):
     # numpy's overflow warnings are not printed ahead of the typed error

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from bargmann import criteria
 from bargmann.criteria import (
     COMMUTE_TOL,
     SET_COHERENT,
@@ -135,6 +137,24 @@ def test_commutator_gap_is_the_pair_of_set_coherence_decide():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match=r"for pair \(1, 2\)$"):
             commutator_gap(*big)
+
+
+def test_a_single_pair_builds_no_set_report(monkeypatch):
+    pair = list(fixture("emc_rho_pair").states)
+    expected = set_coherence_decide(pair).pairs[0]
+    config = EstimatorConfig(shots_per_setting=100, seed=1)
+    expected_estimate = estimate_gap(pair, config).to_dict()
+    built = []
+    report = criteria.CoherenceReport
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "CoherenceReport", counting)
+    assert commutator_gap(*pair) == expected
+    assert estimate_gap(pair, config).to_dict() == expected_estimate
+    assert built == []
 
 
 def test_gap_equals_half_commutator_norm():
@@ -780,6 +800,34 @@ def test_imaginarity_witness_names_the_pair_that_overflows():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match=r"for pair \(2, 3\)$"):
             imaginarity_witness(*trio)
+
+
+@pytest.mark.parametrize("scales", [(1e160, 1e-100, 1e-100), (1e-100,) * 3, (1e-170, 1.0, 1.0)])
+def test_imaginarity_witness_is_scale_free(scales, ginibre_trio):
+    # each side scales by the product of the scales; at the parent these
+    # overflowed to rhs = nan, or underflowed to rhs = 0 and passed on the slack
+    unit = imaginarity_witness(*ginibre_trio((1.0, 1.0, 1.0)))
+    wit = imaginarity_witness(*ginibre_trio(scales))
+    c = math.prod(scales)
+    assert wit.satisfied
+    assert wit.rhs > wit.lhs > 0
+    for name in ("lhs", "rhs", "im_delta"):
+        assert getattr(wit, name) == pytest.approx(c * getattr(unit, name), rel=1e-12, abs=0)
+
+
+def test_imaginarity_witness_slack_is_relative_to_the_operands():
+    # a commuting qubit trio at trace 1e8: both sides are rounding, some 1e-18
+    # of the operands' scale 1e24, and lhs exceeds rhs, which an absolute
+    # slack of 1e-10 read as a violation
+    trio = [validate_state(1e8 * s.matrix) for s in commuting_set(2, 3, np.random.default_rng(0))]
+    wit = imaginarity_witness(*trio)
+    assert wit.rhs < wit.lhs < 1e-17 * 1e24
+    assert wit.satisfied
+
+
+def test_imaginarity_witness_past_the_double_range_raises(ginibre_trio):
+    with pytest.raises(NumericError, match="trace of chained product is not finite"):
+        imaginarity_witness(*ginibre_trio((1e300,) * 3))
 
 
 def test_imaginarity_witness_random_sweep():

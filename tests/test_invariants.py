@@ -150,6 +150,10 @@ def test_classical_invariant_basics():
         ClassicalRealization(basis_size=2, weights=[[1.0, -0.5]])
     with pytest.raises(ValueError, match=r"must have shape \(n_letters, 3\)"):
         ClassicalRealization(basis_size=3, weights=[[0.5, 0.5]])
+    # NaN passes the negativity check and inf does not trip it, so both are refused first
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            ClassicalRealization(basis_size=2, weights=[[bad, 1.0]])
 
 
 def test_classical_invariant_matches_commuting_pair():

@@ -185,7 +185,7 @@ def test_qubit_from_bloch():
     assert purity(trine2) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(PositivityError):
         qubit_from_bloch((1.0, 0.5, 0.0))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="expected a 3-vector"):
         qubit_from_bloch((1.0, 0.0))
     # up to the norm cap |r| <= 1 + 1e-12, validation at PSD_TOL passes with
     # no extra slack; beyond it the norm check raises
@@ -194,6 +194,17 @@ def test_qubit_from_bloch():
     for r in ((1 + 1e-11, 0.0, 0.0), (0.0, -(1 + 1e-11), 0.0)):
         with pytest.raises(PositivityError):
             qubit_from_bloch(r)
+
+
+def test_qubit_from_bloch_inverts_bloch_map():
+    rng = np.random.default_rng(23)
+    for ensemble in ("ginibre_mixed", "haar_pure"):
+        for _ in range(20):
+            rho = random_state(2, ensemble, rng)
+            again = qubit_from_bloch(bloch_map(rho, "pauli"))
+            np.testing.assert_allclose(again.matrix, rho.matrix, rtol=0, atol=1e-14)
+    with pytest.raises(ValueError, match="requires pauli Bloch vectors"):
+        qubit_from_bloch(bloch_map(rho, "orthonormal"))
 
 
 def test_bloch_round_trip():
