@@ -103,7 +103,7 @@ def _coherence(args, ops):
         report = criteria.reduced_set_coherence(ops, args.reference, tol=args.tol)
     else:
         report = criteria.set_coherence_decide(ops, tol=args.tol)
-    return {**report.to_dict(), "tol": args.tol}, report.verdict != criteria.SET_INCOHERENT
+    return {**report._payload(), "tol": args.tol}, report.verdict != criteria.SET_INCOHERENT
 
 
 def _estimate(args, ops):
@@ -166,13 +166,9 @@ def _facets(args, ops):
 
 
 def _imaginarity(args, ops):
-    witness = criteria.imaginarity_witness(*_trio(args, ops))
-    # |tr(ABC)| <= ||A||_F ||B||_F ||C||_F, so the finding is scale-free.  With
-    # each norm m 2^e (frexp), |Im| 2^-(sum of e) > tol (product of m) is that
-    # test with no product past the double range.
-    m, e = zip(*(math.frexp(states._frobenius(s.matrix)) for s in ops))
-    finding = math.ldexp(abs(witness.im_delta), -sum(e)) > args.tol * math.prod(m)
-    return {**witness.to_dict(), "tol": args.tol}, finding
+    # |tr(ABC)| <= ||A||_F ||B||_F ||C||_F, so the finding is scale-free.
+    witness, ratio = criteria._imaginarity(*_trio(args, ops))
+    return {**witness.to_dict(), "tol": args.tol}, ratio > args.tol
 
 
 COMMANDS = {

@@ -16,7 +16,6 @@ reductions, and an imaginarity witness bound.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from .exceptions import (
     NumericInconsistencyError,
     ShapeError,
 )
+from .io import _Table
 from .numkernel import _product_trace
 from .states import (
     BlochVector,
@@ -93,7 +93,7 @@ def _json_value(value):
 class _Report:
     """``to_dict``: a dataclass's fields in declaration order, as JSON values.
 
-    Subclasses override ``to_dict`` only for a key they omit or rename.
+    Subclasses override ``to_dict`` for a key they omit, rename or store apart.
     ``EstimateResult`` (a complex as ``re``/``im``, the word as text) and
     ``GapEstimate`` (two estimates nested under new keys) write their own.
     """
@@ -118,6 +118,23 @@ class PairGap(_Report):
     commutes: bool
 
 
+class _PairsField:
+    """``CoherenceReport.pairs``: set to the pair table, an ``io._Table`` of
+    :class:`PairGap`'s fields, or to PairGaps; read as PairGaps, built once."""
+
+    def __get__(self, report, owner=None):
+        if report is None:  # so that the field has no default
+            raise AttributeError("pairs")
+        if "_pairs" not in report.__dict__:
+            report.__dict__["_pairs"] = tuple(map(PairGap, *report._table.columns.values()))
+        return report.__dict__["_pairs"]
+
+    def __set__(self, report, table):
+        if type(table) is not _Table:  # PairGaps, as dataclasses.replace passes them
+            table = _Table({k: [vars(p)[k] for p in table] for k in PairGap.__dataclass_fields__})
+        report.__dict__["_table"] = table
+
+
 @dataclass(frozen=True)
 class CoherenceReport(_Report):
     """Pairwise gap table and overall verdict for a state collection.
@@ -125,21 +142,25 @@ class CoherenceReport(_Report):
     ``mode`` is ``"full"`` (all n(n-1)/2 pairs) or ``"reduced"`` (only the
     n-1 pairs against one reference, recorded in ``reference``).
     ``invariant_count`` counts the fourth-order invariants evaluated (two per
-    pair).
+    pair).  ``pairs`` is held as the kernel's columns and becomes PairGaps on
+    its first read (:class:`_PairsField`); :meth:`_payload` builds none.
     """
 
     n: int
-    pairs: tuple[PairGap, ...]
+    pairs: tuple[PairGap, ...] = _PairsField()
     verdict: str
     mode: str
     invariant_count: int
     reference: int | None = None
 
+    def _payload(self) -> dict:
+        """:meth:`to_dict` with the pair table as columns, for ``io.ArrayEncoder``."""
+        out = {"n": self.n, "pairs": self._table, "verdict": self.verdict, "mode": self.mode,
+               "invariant_count": self.invariant_count}
+        return out if self.reference is None else {**out, "reference": self.reference}
+
     def to_dict(self) -> dict:
-        out = {**super().to_dict(), "pairs": [p.to_dict() for p in self.pairs]}
-        if self.reference is None:
-            del out["reference"]
-        return out
+        return {**self._payload(), "pairs": [p.to_dict() for p in self.pairs]}
 
 
 # Bytes of one chunk's product stack M_k = A B_k, (k, d, d) complex.  From
@@ -154,9 +175,10 @@ class CoherenceReport(_Report):
 _CHUNK_BYTES = 64 * 1024
 
 
-def _pair_gaps(a, bs, tol, l, ks) -> list[PairGap]:
-    """:class:`PairGap` of A with each operator of the stack ``bs``, (k, d, d),
-    in order; the pairs are labelled (``l``, k) for k in ``ks``.
+def _pair_gaps(a, bs, l, ks) -> tuple[list, list, list]:
+    """Lists tr(A^2 B^2), Re tr(ABAB) and gap of A with each operator of the
+    stack ``bs``, (k, d, d), in order; errors name pairs (``l``, k), k in ``ks``.
+    No :class:`PairGap` is built.
 
     Each M = A B gives ``delta_llkk = tr(A^2 B^2) = ||M||_F^2``, the gap
     ``1/2 ||C||_F^2`` with C = M - M† = [A, B], and
@@ -173,11 +195,9 @@ def _pair_gaps(a, bs, tol, l, ks) -> list[PairGap]:
     llkk = np.vecdot(mf, mf)
     gap = 0.5 * np.vecdot(cf, cf)
     lklk = llkk - np.vecdot(c, m)  # vecdot conjugates its first argument
-    llkk, gap, re, im = llkk.tolist(), gap.tolist(), lklk.real.tolist(), lklk.imag.tolist()
-    # Both are >= 0, so their sum is finite if both are (or overflows, which
-    # the per-pair tests below let pass).
-    if not (math.isfinite(sum(llkk) + sum(gap))
-            and all(abs(y) <= IM_ERROR_TOL * x for x, y in zip(llkk, im))):
+    im = lklk.imag
+    if not (np.isfinite(llkk).all() and np.isfinite(gap).all()
+            and (np.abs(im) <= IM_ERROR_TOL * llkk).all()):
         for j, k in enumerate(ks):
             if not (math.isfinite(llkk[j]) and math.isfinite(gap[j])):
                 raise NumericError(f"pair invariants are not finite: tr(A^2 B^2) = {llkk[j]}, "
@@ -189,8 +209,7 @@ def _pair_gaps(a, bs, tol, l, ks) -> list[PairGap]:
                     abs(im[j]) > IM_ERROR_TOL * np.vdot(a, a).real * np.vdot(bs[j], bs[j]).real:
                 raise NumericInconsistencyError(f"tr(ABAB) should be real, found imaginary "
                                                 f"part {im[j]:.3e} for pair ({l}, {k})")
-    return list(map(PairGap, zip(itertools.repeat(l), ks), llkk, re, gap,
-                    [g <= tol for g in gap]))
+    return llkk.tolist(), lklk.real.tolist(), gap.tolist()
 
 
 def commutator_gap(
@@ -219,7 +238,8 @@ def commutator_gap(
         Gap at or below this threshold counts as commuting.
     """
     x = _stacked([op1, op2])
-    return _pair_gaps(x[0], x[1:], tol, 1, (2,))[0]
+    (llkk,), (re,), (gap,) = _pair_gaps(x[0], x[1:], 1, (2,))
+    return PairGap((1, 2), llkk, re, gap, gap <= tol)
 
 
 def _stacked(states: list[PositiveOperator]) -> np.ndarray:
@@ -242,7 +262,7 @@ def _decide(x: np.ndarray, tol, reference) -> CoherenceReport:
     every other.  Each run of pairs (l, k0 <= k < k1) goes through
     :func:`_pair_gaps` as basic slices of ``x``, in chunks of at most
     ``_CHUNK_BYTES // (16 d^2)`` pairs (the budget is derived where it is
-    defined), so one pair per chunk at d >= 64.
+    defined), so one pair per chunk at d >= 64; ``commutes`` is ``gap <= tol``.
     """
     n = len(x)
     if reference is None:
@@ -250,20 +270,17 @@ def _decide(x: np.ndarray, tol, reference) -> CoherenceReport:
     else:
         runs = [(reference - 1, 0, reference - 1), (reference - 1, reference, n)]
     size = max(1, _CHUNK_BYTES // (16 * x[0].size))
-    pairs = []
+    indices, columns = [], ([], [], [])
     for l, k0, k1 in runs:
+        indices += ((l + 1, k) for k in range(k0 + 1, k1 + 1))
         for s in range(k0, k1, size):
             t = min(s + size, k1)
-            pairs += _pair_gaps(x[l], x[s:t], tol, l + 1, range(s + 1, t + 1))
-    verdict = SET_INCOHERENT if all(p.commutes for p in pairs) else SET_COHERENT
-    return CoherenceReport(
-        n=n,
-        pairs=tuple(pairs),
-        verdict=verdict,
-        mode="full" if reference is None else "reduced",
-        reference=reference,
-        invariant_count=2 * len(pairs),
-    )
+            for column, chunk in zip(columns, _pair_gaps(x[l], x[s:t], l + 1, range(s + 1, t + 1))):
+                column += chunk
+    commutes = [g <= tol for g in columns[2]]
+    table = _Table(dict(zip(PairGap.__dataclass_fields__, (indices, *columns, commutes))))
+    return CoherenceReport(n, table, SET_INCOHERENT if all(commutes) else SET_COHERENT,
+                           "full" if reference is None else "reduced", 2 * len(commutes), reference)
 
 
 def set_coherence_decide(
@@ -311,7 +328,7 @@ def reduced_set_coherence(
         w = ref.eigenvalues if isinstance(ref, PositiveOperator) else \
             np.linalg.eigvalsh(x[ref_index - 1])
         delta = float(np.min(np.diff(w))) if w.shape[0] > 1 else math.inf
-        max_gap = max((p.gap for p in report.pairs), default=0.0)
+        max_gap = max(report._table.columns["gap"], default=0.0)
         # Python floats overflow to inf rather than raise, so a tiny delta is safe.
         bound = 2 * max_gap / delta / delta if delta > 0 else math.inf
         if bound > tol:
@@ -599,15 +616,20 @@ def imaginarity_witness(
     bounds the error of the two sides by about 3 d^4 eps: below 1e-10 up to
     d = 16.
     """
+    return _imaginarity(rho_l, rho_k, rho_s)[0]
+
+
+def _imaginarity(rho_l, rho_k, rho_s) -> tuple[ImaginarityWitness, float]:
+    """The witness and |Im tr(rho_l rho_k rho_s)| / prod ||rho||_F, read on the scaled trio."""
     x = _stacked([rho_l, rho_k, rho_s])
     y, e = _binary_scaled(x)
     im = _product_trace(list(y)).imag
     # ||[y_k, y_s]||_F^2 = 2 gap >= 0 by construction.
-    pair = _pair_gaps(y[1], y[2:], COMMUTE_TOL, 2, (3,))[0]
-    lhs, rhs = 2.0 * abs(im), _frobenius(y[0]) * math.sqrt(2.0 * pair.gap)
+    (llkk,), _, (gap,) = _pair_gaps(y[1], y[2:], 2, (3,))
+    lhs, rhs = 2.0 * abs(im), _frobenius(y[0]) * math.sqrt(2.0 * gap)
     scale = int(e.sum())
     im_delta = _ldexp(im, scale, "trace of chained product is not finite")
-    _ldexp(max(pair.delta_llkk, pair.gap), 2 * int(e[1] + e[2]),
+    _ldexp(max(llkk, gap), 2 * int(e[1] + e[2]),
            "pair invariants are not finite: tr(A^2 B^2) overflows for pair (2, 3)")
     bound = "imaginarity bound is not finite"
     return ImaginarityWitness(
@@ -615,4 +637,4 @@ def imaginarity_witness(
         rhs=_ldexp(rhs, scale, bound),
         satisfied=bool(lhs <= rhs + 1e-10),
         im_delta=im_delta,
-    )
+    ), abs(im) / math.prod(map(_frobenius, y)) if im else 0.0

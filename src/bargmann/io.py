@@ -27,11 +27,12 @@ its brackets and commas show its layout, and only line breaks and indents
 are put back.  A nested list starting with a float or a list (a matrix, an
 eigenvalue list) is one C-encoder call, refused unless all its scalars sit
 at one depth.  A record list (dicts with the same keys in the same order,
-such as a ``coherence`` pair table) is one call per column, refused unless
-each value is one scalar or one flat list; one with a string, dict or
-matrix column is refused before any call.  What is refused is walked.
-String columns and ``ensure_ascii=False`` do not take the fast path, and
-any error from the C functions re-encodes through the stdlib.
+or a :class:`_Table` of columns: ``coherence`` writes the pair kernel's, and
+builds a ``PairGap`` only when a library caller reads one) is one call per
+column, refused unless each value is one scalar or one flat list; a string,
+dict or matrix column is refused before any call.  A refused record list is
+walked; a refused table is left to the stdlib, as is all text with
+``ensure_ascii=False`` and any error from the C functions.
 """
 
 from __future__ import annotations
@@ -70,10 +71,20 @@ def _scalars_only(text: str) -> bool:
     return '"' not in text and "{" not in text and "[]" not in text
 
 
+class _Table:
+    """A record list held as ``columns``: each key maps to its values in order."""
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+    def records(self) -> list:
+        return [dict(zip(self.columns, row)) for row in zip(*self.columns.values())]
+
+
 class ArrayEncoder(json.JSONEncoder):
     """``json.JSONEncoder`` whose indented text is the stdlib's, byte for byte,
     with each regular numeric nested list encoded by the C encoder and each
-    record list written column by column.
+    record list, or :class:`_Table`, written column by column.
 
     Other dicts and lists are walked here, which writes their brackets, keys,
     strings and indentation.  Every other value the walk meets is left in
@@ -103,6 +114,9 @@ class ArrayEncoder(json.JSONEncoder):
             return super().encode(o)
         return "".join(out)
 
+    def default(self, o):  # what the stdlib calls for a value it cannot write
+        return o.records() if type(o) is _Table else super().default(o)
+
     def _emit(self, o, nl: str, out: list) -> None:
         """Append ``o``'s text, with ``nl`` the newline and indent of its line;
         a value other than a string, a non-empty list or a non-empty dict is
@@ -120,6 +134,8 @@ class ArrayEncoder(json.JSONEncoder):
                     self._emit(item, inner, out)
                     sep = "," + inner
                 out.append(nl + "]")
+        elif type(o) is _Table:  # if refused, a value only the stdlib can write
+            out.append(self._columns(o.columns, nl) or o)
         elif isinstance(o, dict) and o:
             inner = nl + self._ind
             sep = "{" + inner
@@ -132,26 +148,30 @@ class ArrayEncoder(json.JSONEncoder):
             out.append(o)
 
     def _records(self, o, nl: str) -> "str | None":
-        """The text of a list of dicts with the same keys in the same order,
-        written column by column; None if ``o`` is not one or a column is
-        refused (see the module docstring).
+        """:meth:`_columns` of a list of dicts with the same keys in order, else None."""
+        keys = tuple(o[0]) if type(o[0]) is dict else ()
+        if not keys or set(map(type, o)) != {dict} or not all(map(keys.__eq__, map(tuple, o))):
+            return None
+        return self._columns({key: list(map(operator.itemgetter(key), o)) for key in keys}, nl)
+
+    def _columns(self, table: dict, nl: str) -> "str | None":
+        """The text of the records whose values under each key are its column
+        in ``table``; None if there is no record or a column is refused.
 
         A column's C text is split on ``,`` into scalars or on ``],[`` into
         flat lists; every bracket must be one of those values'.  The texts
         are interleaved with the keys into the record layout.
         """
-        keys = tuple(o[0]) if type(o[0]) is dict else ()
-        if not keys or set(map(type, o)) != {dict} or not all(map(keys.__eq__, map(tuple, o))):
-            return None
-        columns = [list(map(operator.itemgetter(key), o)) for key in keys]
-        if any(isinstance(c[0], (dict, str)) or isinstance(c[0], (list, tuple)) and c[0]
-               and isinstance(c[0][0], (list, tuple, dict)) for c in columns):
+        keys, columns = list(table), list(table.values())
+        if not columns or not columns[0] or any(
+                isinstance(c[0], (dict, str)) or isinstance(c[0], (list, tuple)) and c[0]
+                and isinstance(c[0][0], (list, tuple, dict)) for c in columns):
             return None
         rec = nl + self._ind  # the line of each record's braces
         val = rec + self._ind  # the line of each key
         item = val + self._ind  # the line of each item of a list value
         keys = [encode_basestring_ascii(key) + self.key_separator for key in keys]
-        n, step = len(o), 2 * len(keys)
+        n, step = len(columns[0]), 2 * len(keys)
         parts = [None] * (step * n)
         for j, (key, column) in enumerate(zip(keys, columns)):
             text = _COMPACT.encode(column)

@@ -6,8 +6,14 @@ import pytest
 
 from bargmann import io as bio
 from bargmann.cli import _write_report, main
-from bargmann.criteria import imaginarity_witness
-from bargmann.exceptions import DocumentError
+from bargmann.criteria import (
+    COMMUTE_TOL,
+    SET_INCOHERENT,
+    imaginarity_witness,
+    reduced_set_coherence,
+    set_coherence_decide,
+)
+from bargmann.exceptions import DegenerateReferenceError, DocumentError
 from bargmann.fixtures import FIXTURE_NAMES, fixture
 from bargmann.states import (
     commuting_set,
@@ -96,6 +102,39 @@ def test_coherence_reduced_mode(fixture_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "degenerate" in captured.err
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (4, 3), (64, 2),
+                                  (64, 3), (1, 100), (4, 100)])
+def test_coherence_report_is_the_library_report_as_stdlib_text(d, n, tmp_path, capsys):
+    # the CLI writes the pair table from the kernel's columns; its text is the
+    # stdlib's indent=2 text of the library report, in full mode and with the
+    # first, middle and last reference, for commuting, Ginibre and mixed sets
+    # at traces 1e-2, 1 and 1e2 (decided at the default tolerance times trace^4)
+    rng = np.random.default_rng(1000 * d + n)
+    for kind, trace in (("commuting", 1e-2), ("ginibre", 1.0), ("mixed", 1e2)):
+        mats = [s.matrix for s in commuting_set(d, n, rng)]
+        for i in {"commuting": [], "ginibre": range(n), "mixed": [n // 2]}[kind]:
+            mats[i] = random_state(d, "ginibre_mixed", rng).matrix
+        ops = [validate_state(trace * m) for m in mats]
+        tol = COMMUTE_TOL * trace**4
+        path = tmp_path / f"{kind}.json"
+        bio.save_state_set(path, ops)
+        for reference in (None, *sorted({1, (n + 1) // 2, n})):
+            argv = ["coherence", str(path), "--tol", repr(tol)]
+            try:
+                if reference is None:
+                    report = set_coherence_decide(ops, tol)
+                else:
+                    report = reduced_set_coherence(ops, reference, tol)
+                    argv += ["--reference", str(reference)]
+            except DegenerateReferenceError:
+                expected = ("", 2)
+            else:
+                expected = (json.dumps({**report.to_dict(), "tol": tol}, indent=2) + "\n",
+                            int(report.verdict != SET_INCOHERENT))
+            code = main(argv)
+            assert (capsys.readouterr().out, code) == expected, (kind, reference)
 
 
 def test_estimate_command(fixture_file, capsys):
@@ -324,10 +363,13 @@ def test_imaginarity_real_trio_at_large_trace_is_no_finding(tmp_path, capsys):
     assert payload["im_delta"] == 0.0
 
 
-@pytest.mark.parametrize("scales", [(1e160, 1e-100, 1e-100), (1e-100,) * 3, (1e-170, 1.0, 1.0)])
+@pytest.mark.parametrize("scales", [(1e160, 1e-100, 1e-100), (1e-100,) * 3, (1e-170, 1.0, 1.0),
+                                    (1e-150,) * 3])
 def test_imaginarity_outside_unit_scale_is_a_finite_finding(scales, ginibre_trio, tmp_path, capsys):
-    # |Im| is about 0.1 of the norms' product; at the parent the first trio
-    # overflowed to rhs = nan (exit 2) and the others underflowed to rhs = 0
+    # |Im| is about 0.08 of the norms' product at every scale: no side of the
+    # bound may overflow to nan or underflow to 0 where the result does not,
+    # and at 1e-150, where Im itself (about 5e-452) reads 0, the finding is
+    # read on the trio rescaled by powers of two
     path = tmp_path / "trio.json"
     bio.save_state_set(path, ginibre_trio(scales))
     code, payload = run_json(capsys, ["imaginarity", str(path)])

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from bargmann import criteria
+from bargmann import io as bio
+from bargmann.cli import main
 from bargmann.criteria import (
     COMMUTE_TOL,
     SET_COHERENT,
@@ -155,6 +157,49 @@ def test_a_single_pair_builds_no_set_report(monkeypatch):
     assert commutator_gap(*pair) == expected
     assert estimate_gap(pair, config).to_dict() == expected_estimate
     assert built == []
+
+
+def test_a_written_coherence_report_builds_no_pair_objects(tmp_path, capsys, monkeypatch):
+    # the CLI hands the kernel's columns to the encoder: it builds no PairGap
+    # and no record list for the encoder to take apart; the library builds
+    # the PairGaps on the first read of pairs, once
+    rng = np.random.default_rng(20)
+    mats = _random_set(rng, 4, 100, "mixed")
+    path = tmp_path / "set.json"
+    bio.save_state_set(path, [validate_state(m) for m in mats])
+    built, walked = [], []
+    records = bio.ArrayEncoder._records
+
+    class Counting(criteria.PairGap):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    def counting_records(self, o, nl):
+        walked.append(1)
+        return records(self, o, nl)
+
+    monkeypatch.setattr(criteria, "PairGap", Counting)
+    monkeypatch.setattr(bio.ArrayEncoder, "_records", counting_records)
+    report = set_coherence_decide(mats)
+    assert main(["coherence", str(path)]) == int(report.verdict == SET_COHERENT)
+    capsys.readouterr()
+    assert (built, walked) == ([], [])
+    pairs = report.pairs
+    assert len(built) == 4950
+    assert report.pairs is pairs and len(built) == 4950  # built once
+    index_pairs = [(l, k) for l in range(1, 101) for k in range(l + 1, 101)]
+    expected = _reference_pairs(mats, index_pairs)
+    assert [p.indices for p in pairs] == index_pairs
+    for p, (_, llkk, lklk, gap, scale) in zip(pairs, expected):
+        assert abs(p.gap - gap) <= 1e-12 * scale
+        assert abs(p.delta_llkk - llkk) <= 1e-12 * scale
+        assert abs(p.delta_lklk - lklk) <= 1e-12 * scale
+        assert p.commutes == (p.gap <= COMMUTE_TOL)
+    # a report made from PairGaps, as dataclasses.replace makes one, holds them as columns
+    again = dataclasses.replace(report, mode="reduced")
+    assert again.pairs == pairs
+    assert again.to_dict() == {**report.to_dict(), "mode": "reduced"}
 
 
 def test_gap_equals_half_commutator_norm():
@@ -691,6 +736,21 @@ def test_gram_rank_report_carries_its_matrix():
     payload = rep.to_dict()
     assert list(payload)[-1] == "gram"
     assert payload["gram"] == rep.gram.tolist()
+
+
+def test_imaginarity_ratio_is_read_on_the_rescaled_trio(ginibre_trio):
+    # Im tr(rho1 rho2 rho3) of the trio at 1e-150 is about 5e-452, below the
+    # smallest subnormal, so im_delta reads 0; its ratio to the product of the
+    # Frobenius norms, read on the trio rescaled by powers of two, does not
+    ratios = []
+    for scale in (1.0, 1e-100, 1e-150):
+        trio = ginibre_trio((scale,) * 3)
+        witness, ratio = criteria._imaginarity(*trio)
+        assert witness == imaginarity_witness(*trio)
+        ratios.append(ratio)
+    assert witness.im_delta == 0.0
+    assert ratios == pytest.approx([0.0810805752216924] * 3, rel=1e-12)
+    assert criteria._imaginarity(np.zeros((2, 2)), *trio[1:])[1] == 0.0
 
 
 def test_field_reports_serialize_their_fields_in_order():

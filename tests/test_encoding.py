@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bargmann import io as bio
+from bargmann.criteria import set_coherence_decide
 from bargmann.states import random_state
 
 
@@ -263,21 +264,67 @@ def _perturbed(records, data):
     return records
 
 
+def _as_table(tree):
+    """``tree`` with its record list held as a ``_Table`` of columns, or None
+    if the records' keys differ or are none (no column holds the count)."""
+    if isinstance(tree, dict):
+        inner = _as_table(tree["pairs"])
+        return None if inner is None else {"pairs": inner}
+    if not isinstance(tree[0], dict):
+        inner = _as_table(tree[-1])
+        return None if inner is None else [*tree[:-1], inner]
+    keys = tuple(tree[0])
+    if not keys or any(tuple(r) != keys for r in tree):
+        return None
+    return bio._Table({k: [r[k] for r in tree] for k in keys})
+
+
 @settings(deadline=None)
 @given(record_lists(), st.booleans(), st.data())
 def test_record_lists_match_stdlib_byte_for_byte(tree, perturb, data):
+    # as dicts, and as the columns of a _Table, which the stdlib reads as its records
     if perturb:
         inner = tree
         while not (isinstance(inner, list) and inner and isinstance(inner[0], dict)):
             inner = inner["pairs"] if isinstance(inner, dict) else inner[-1]
         _perturbed(inner, data)
+    table = _as_table(tree)
     try:
         expected = reference(tree)
     except (ValueError, TypeError) as exc:
         with pytest.raises(type(exc)):
             encoded(tree)
+        if table is not None:
+            with pytest.raises(type(exc)):
+                encoded(table)
     else:
         assert encoded(tree) == expected
+        if table is not None:
+            assert encoded(table) == expected
+
+
+def test_column_tables_fall_back_to_the_stdlib(monkeypatch):
+    # the coherence payload holds its pair table as columns; whatever path
+    # writes it, the text (or the error) is the stdlib's for its records
+    rng = np.random.default_rng(6)
+    report = set_coherence_decide([random_state(2, "ginibre_mixed", rng) for _ in range(5)])
+    payload = {**report._payload(), "tol": 1e-10}
+    expected = reference({**report.to_dict(), "tol": 1e-10})
+    assert type(payload["pairs"]) is bio._Table
+    assert encoded(payload) == expected
+    assert json.dumps(payload, cls=bio.ArrayEncoder, indent=2, ensure_ascii=False) == expected
+    assert json.dumps(payload, cls=bio.ArrayEncoder) == json.dumps(report.to_dict() | {"tol": 1e-10})
+    for empty in ({"gap": [], "commutes": []}, {}):
+        assert encoded({"pairs": bio._Table(empty)}) == reference({"pairs": []})
+    with pytest.raises(ValueError):
+        encoded({"pairs": bio._Table({"gap": [0.5, math.nan]})})
+
+    class Raising(json.JSONEncoder):
+        def encode(self, o):
+            raise ValueError("C encoder unavailable")
+
+    monkeypatch.setattr(bio, "_COMPACT", Raising())
+    assert encoded(payload) == expected
 
 
 def test_save_state_set_writes_the_stdlib_text(tmp_path):
