@@ -141,14 +141,15 @@ def _qubit_check(args, ops):
         raise BargmannError(f"qubit-check requires dimension 2, got {ops[0].dim}")
     states.require_normalized(ops, f"{args.command} requires normalized states")
     p = [states.purity(s) for s in ops]
-    pairs = [
-        {"indices": [l + 1, k + 1],
-         **criteria.qubit_criterion(p[l], p[k], states.overlap(ops[l], ops[k]), args.tol).to_dict()}
-        for l, k in itertools.combinations(range(len(ops)), 2)
-    ]
-    coherent = not all(row["commutes"] for row in pairs)
+    pairs = list(itertools.combinations(range(len(ops)), 2))
+    rows = [criteria.qubit_criterion(p[l], p[k], states.overlap(ops[l], ops[k]), args.tol)
+            for l, k in pairs]
+    table = io._Table({"indices": [[l + 1, k + 1] for l, k in pairs],
+                       "residual": [row.residual for row in rows],
+                       "commutes": [row.commutes for row in rows]})
+    coherent = not all(table.columns["commutes"])
     verdict = criteria.SET_COHERENT if coherent else criteria.SET_INCOHERENT
-    return {"pairs": pairs, "verdict": verdict, "tol": args.tol}, coherent
+    return {"pairs": table, "verdict": verdict, "tol": args.tol}, coherent
 
 
 def _gram(args, ops):

@@ -163,53 +163,63 @@ class CoherenceReport(_Report):
         return {**self._payload(), "pairs": [p.to_dict() for p in self.pairs]}
 
 
-# Bytes of one chunk's product stack M_k = A B_k, (k, d, d) complex.  From
-# the layer timings: a chunk is about ten numpy calls, some 20 µs of fixed
-# cost at any d, while a d=4 product inside a batch costs under 1 µs, so a
-# chunk should hold a few hundred small products.  Its working set is about
-# four such stacks (the B slice, M, conj(M) and C = M - M†), which at 64 KiB
-# each stays within a 256 KiB L2 cache.  That is 256 pairs at d=4, 64 at d=8,
-# 4 at d=32 and one at d >= 64, where one product (16 d^2 bytes) fills the
-# budget and its matmul (about 50 µs at d=64) outweighs the fixed cost, so
-# large d costs what one pair at a time did.
+# Bytes of one chunk's product stack M = A B, (k, d, d) complex.  From the
+# layer timings: a chunk is about ten numpy calls, some 20 µs of fixed cost at
+# any d, while a d=4 product inside a batch costs under 1 µs, so a chunk
+# should hold a few hundred small products.  It makes five such stacks: the
+# gathered A and B, freed once M is formed, then M, conj(M) and C = M - M†.
+# So at most three, 192 KiB, are live at once, within a 256 KiB L2 cache.
+# That is 256 pairs at d=4, 64 at d=8, 4 at d=32 and one at d >= 64, where
+# one product (16 d^2 bytes) fills the budget and its matmul (about 50 µs at
+# d=64) outweighs the fixed cost, so large d costs what one pair at a time did.
 _CHUNK_BYTES = 64 * 1024
 
 
-def _pair_gaps(a, bs, l, ks) -> tuple[list, list, list]:
-    """Lists tr(A^2 B^2), Re tr(ABAB) and gap of A with each operator of the
-    stack ``bs``, (k, d, d), in order; errors name pairs (``l``, k), k in ``ks``.
+def _pair_gaps(x, li, ki) -> tuple[list, list, list]:
+    """Lists tr(A^2 B^2), Re tr(ABAB) and gap of each pair (A, B) = (x[l], x[k])
+    of the stack ``x``, (n, d, d), for l, k zipped from the 0-based index
+    lists or arrays ``li`` and ``ki``; errors name the pair (l + 1, k + 1).
     No :class:`PairGap` is built.
 
-    Each M = A B gives ``delta_llkk = tr(A^2 B^2) = ||M||_F^2``, the gap
-    ``1/2 ||C||_F^2`` with C = M - M† = [A, B], and
+    Each chunk of at most ``_CHUNK_BYTES // (16 d^2)`` pairs gathers its A and
+    B stacks ``x[li[s:t]]`` and ``x[ki[s:t]]``, so one chunk can hold the pairs
+    of several anchors (left operands).
+    Each M = A B gives ``delta_llkk = tr(A^2 B^2) = ||M||_F^2``,
+    the gap ``1/2 ||C||_F^2`` with C = M - M† = [A, B], and
     ``delta_lklk = tr(ABAB) = <M†, M> = ||M||_F^2 - <C, M>``: one batched
     product, then one row-wise dot product per column, all over contiguous
     stacks.  The first failing pair raises: :class:`NumericError` on a
     non-finite tr(A^2 B^2) or gap (overflow), :class:`NumericInconsistencyError`
     on |Im tr(ABAB)| above ``IM_ERROR_TOL ||A||_F^2 ||B||_F^2``.
     """
-    m = a @ bs
-    c = m - m.conj().swapaxes(1, 2)
-    m, c = m.reshape(len(bs), -1), c.reshape(len(bs), -1)
-    mf, cf = m.view(float), c.view(float)
-    llkk = np.vecdot(mf, mf)
-    gap = 0.5 * np.vecdot(cf, cf)
-    lklk = llkk - np.vecdot(c, m)  # vecdot conjugates its first argument
-    im = lklk.imag
-    if not (np.isfinite(llkk).all() and np.isfinite(gap).all()
-            and (np.abs(im) <= IM_ERROR_TOL * llkk).all()):
-        for j, k in enumerate(ks):
-            if not (math.isfinite(llkk[j]) and math.isfinite(gap[j])):
-                raise NumericError(f"pair invariants are not finite: tr(A^2 B^2) = {llkk[j]}, "
-                                   f"gap = {gap[j]} for pair ({l}, {k})")
-            # Rounding in M scales with ||A||_F ||B||_F even where M cancels
-            # (orthogonal A, B); as llkk <= ||A||_F^2 ||B||_F^2, the norms are
-            # needed only past llkk.
-            if abs(im[j]) > IM_ERROR_TOL * llkk[j] and \
-                    abs(im[j]) > IM_ERROR_TOL * np.vdot(a, a).real * np.vdot(bs[j], bs[j]).real:
-                raise NumericInconsistencyError(f"tr(ABAB) should be real, found imaginary "
-                                                f"part {im[j]:.3e} for pair ({l}, {k})")
-    return llkk.tolist(), lklk.real.tolist(), gap.tolist()
+    size = max(1, _CHUNK_BYTES // (16 * x[0].size))
+    columns = ([], [], [])
+    for s in range(0, len(li), size):
+        ls, ks = li[s:s + size], ki[s:s + size]
+        m = x[ls] @ x[ks]
+        c = m - m.conj().swapaxes(1, 2)
+        m, c = m.reshape(len(ks), -1), c.reshape(len(ks), -1)
+        mf, cf = m.view(float), c.view(float)
+        llkk = np.vecdot(mf, mf)
+        gap = 0.5 * np.vecdot(cf, cf)
+        lklk = llkk - np.vecdot(c, m)  # vecdot conjugates its first argument
+        im = lklk.imag
+        if not (np.isfinite(llkk).all() and np.isfinite(gap).all()
+                and (np.abs(im) <= IM_ERROR_TOL * llkk).all()):
+            for j, (l, k) in enumerate(zip(ls, ks)):
+                if not (math.isfinite(llkk[j]) and math.isfinite(gap[j])):
+                    raise NumericError(f"pair invariants are not finite: tr(A^2 B^2) = {llkk[j]}, "
+                                       f"gap = {gap[j]} for pair ({l + 1}, {k + 1})")
+                # Rounding in M scales with ||A||_F ||B||_F even where M cancels
+                # (orthogonal A, B); as llkk <= ||A||_F^2 ||B||_F^2, the norms
+                # are needed only past llkk.
+                if abs(im[j]) > IM_ERROR_TOL * llkk[j] and \
+                        abs(im[j]) > IM_ERROR_TOL * np.vdot(x[l], x[l]).real * np.vdot(x[k], x[k]).real:
+                    raise NumericInconsistencyError(f"tr(ABAB) should be real, found imaginary "
+                                                    f"part {im[j]:.3e} for pair ({l + 1}, {k + 1})")
+        for column, chunk in zip(columns, (llkk, lklk.real, gap)):
+            column += chunk.tolist()
+    return columns
 
 
 def commutator_gap(
@@ -237,8 +247,7 @@ def commutator_gap(
     tol : float
         Gap at or below this threshold counts as commuting.
     """
-    x = _stacked([op1, op2])
-    (llkk,), (re,), (gap,) = _pair_gaps(x[0], x[1:], 1, (2,))
+    (llkk,), (re,), (gap,) = _pair_gaps(_stacked([op1, op2]), [0], [1])
     return PairGap((1, 2), llkk, re, gap, gap <= tol)
 
 
@@ -257,27 +266,20 @@ def _decide(x: np.ndarray, tol, reference) -> CoherenceReport:
     """Gaps of the pairs the mode needs, the verdict and the report, for the
     stack ``x`` of :func:`_stacked`.
 
-    With ``reference`` None (full mode) the pairs are all (l, k), l < k; else
-    (reduced mode) they pair the state labelled ``reference`` (1-based) with
-    every other.  Each run of pairs (l, k0 <= k < k1) goes through
-    :func:`_pair_gaps` as basic slices of ``x``, in chunks of at most
-    ``_CHUNK_BYTES // (16 d^2)`` pairs (the budget is derived where it is
-    defined), so one pair per chunk at d >= 64; ``commutes`` is ``gap <= tol``.
+    With ``reference`` None (full mode) the pairs are all (l, k), l < k, in
+    row-major order (``np.triu_indices``); else (reduced mode) they pair the
+    state labelled ``reference`` (1-based) with every other, in order.  All of
+    them go through one :func:`_pair_gaps` call as two index arrays, so its
+    chunks fill across anchors (left operands); ``commutes`` is ``gap <= tol``.
     """
     n = len(x)
     if reference is None:
-        runs = [(l, l + 1, n) for l in range(n - 1)]
+        li, ki = np.triu_indices(n, 1)
     else:
-        runs = [(reference - 1, 0, reference - 1), (reference - 1, reference, n)]
-    size = max(1, _CHUNK_BYTES // (16 * x[0].size))
-    indices, columns = [], ([], [], [])
-    for l, k0, k1 in runs:
-        indices += ((l + 1, k) for k in range(k0 + 1, k1 + 1))
-        for s in range(k0, k1, size):
-            t = min(s + size, k1)
-            for column, chunk in zip(columns, _pair_gaps(x[l], x[s:t], l + 1, range(s + 1, t + 1))):
-                column += chunk
+        li, ki = np.full(n - 1, reference - 1), np.delete(np.arange(n), reference - 1)
+    columns = _pair_gaps(x, li, ki)
     commutes = [g <= tol for g in columns[2]]
+    indices = list(zip((li + 1).tolist(), (ki + 1).tolist()))
     table = _Table(dict(zip(PairGap.__dataclass_fields__, (indices, *columns, commutes))))
     return CoherenceReport(n, table, SET_INCOHERENT if all(commutes) else SET_COHERENT,
                            "full" if reference is None else "reduced", 2 * len(commutes), reference)
@@ -604,9 +606,11 @@ def imaginarity_witness(
     entries lie in [1/2, 1), and lhs, rhs and im_delta are scaled back by
     2^E, E = e_l + e_k + e_s.  Both sides of the bound scale by that same
     power of two, exactly, so no step leaves the double range where the
-    result does not.  A result past it raises :class:`NumericError`, and so
-    does a pair (k, s) whose tr(rho_k^2 rho_s^2) or gap overflows, as in
-    :func:`commutator_gap`; a result below it rounds to a subnormal or 0.
+    result does not.  The gap of (k, s) comes from the pair kernel of
+    :func:`commutator_gap`, run on the scaled pair, so an unscaled
+    tr(rho_k^2 rho_s^2) past the double range is no error: no output holds it.
+    A result past the range raises :class:`NumericError`; a result below it
+    rounds to a subnormal or 0.
 
     ``satisfied`` is lhs <= rhs + 1e-10 on the scaled trio, hence
     2^-E lhs <= 2^-E rhs + 1e-10 on the given one: a slack relative to the
@@ -625,12 +629,10 @@ def _imaginarity(rho_l, rho_k, rho_s) -> tuple[ImaginarityWitness, float]:
     y, e = _binary_scaled(x)
     im = _product_trace(list(y)).imag
     # ||[y_k, y_s]||_F^2 = 2 gap >= 0 by construction.
-    (llkk,), _, (gap,) = _pair_gaps(y[1], y[2:], 2, (3,))
+    _, _, (gap,) = _pair_gaps(y, [1], [2])
     lhs, rhs = 2.0 * abs(im), _frobenius(y[0]) * math.sqrt(2.0 * gap)
     scale = int(e.sum())
     im_delta = _ldexp(im, scale, "trace of chained product is not finite")
-    _ldexp(max(llkk, gap), 2 * int(e[1] + e[2]),
-           "pair invariants are not finite: tr(A^2 B^2) overflows for pair (2, 3)")
     bound = "imaginarity bound is not finite"
     return ImaginarityWitness(
         lhs=_ldexp(lhs, scale, bound),

@@ -26,19 +26,18 @@ one C-encoder call, split on ``,``.  The text of a JSON scalar holds none of
 its brackets and commas show its layout, and only line breaks and indents
 are put back.  A nested list starting with a float or a list (a matrix, an
 eigenvalue list) is one C-encoder call, refused unless all its scalars sit
-at one depth.  A record list (dicts with the same keys in the same order,
-or a :class:`_Table` of columns: ``coherence`` writes the pair kernel's, and
-builds a ``PairGap`` only when a library caller reads one) is one call per
-column, refused unless each value is one scalar or one flat list; a string,
-dict or matrix column is refused before any call.  A refused record list is
-walked; a refused table is left to the stdlib, as is all text with
+at one depth.  A record list held as a :class:`_Table` of columns
+(``coherence`` writes the pair kernel's, and builds a ``PairGap`` only when a
+library caller reads one; ``qubit-check`` writes its pair rows) is one call
+per column, refused unless each value is one scalar or one flat list; a
+string, dict or matrix column is refused before any call.  A list of dicts
+is walked.  A refused table is left to the stdlib, as is all text with
 ``ensure_ascii=False`` and any error from the C functions.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
@@ -84,7 +83,7 @@ class _Table:
 class ArrayEncoder(json.JSONEncoder):
     """``json.JSONEncoder`` whose indented text is the stdlib's, byte for byte,
     with each regular numeric nested list encoded by the C encoder and each
-    record list, or :class:`_Table`, written column by column.
+    :class:`_Table` written column by column.
 
     Other dicts and lists are walked here, which writes their brackets, keys,
     strings and indentation.  Every other value the walk meets is left in
@@ -124,7 +123,7 @@ class ArrayEncoder(json.JSONEncoder):
         if isinstance(o, str):
             out.append(encode_basestring_ascii(o))
         elif isinstance(o, (list, tuple)) and o:
-            if text := self._array(o, nl) or self._records(o, nl):
+            if text := self._array(o, nl):
                 out.append(text)
             else:
                 inner = nl + self._ind
@@ -147,16 +146,10 @@ class ArrayEncoder(json.JSONEncoder):
         else:
             out.append(o)
 
-    def _records(self, o, nl: str) -> "str | None":
-        """:meth:`_columns` of a list of dicts with the same keys in order, else None."""
-        keys = tuple(o[0]) if type(o[0]) is dict else ()
-        if not keys or set(map(type, o)) != {dict} or not all(map(keys.__eq__, map(tuple, o))):
-            return None
-        return self._columns({key: list(map(operator.itemgetter(key), o)) for key in keys}, nl)
-
     def _columns(self, table: dict, nl: str) -> "str | None":
-        """The text of the records whose values under each key are its column
-        in ``table``; None if there is no record or a column is refused.
+        """The text of the records of a :class:`_Table`, whose values under each
+        key are its column in ``table``; None if there is no record or a
+        column is refused.
 
         A column's C text is split on ``,`` into scalars or on ``],[`` into
         flat lists; every bracket must be one of those values'.  The texts

@@ -160,31 +160,24 @@ def test_a_single_pair_builds_no_set_report(monkeypatch):
 
 
 def test_a_written_coherence_report_builds_no_pair_objects(tmp_path, capsys, monkeypatch):
-    # the CLI hands the kernel's columns to the encoder: it builds no PairGap
-    # and no record list for the encoder to take apart; the library builds
-    # the PairGaps on the first read of pairs, once
+    # the CLI hands the kernel's columns to the encoder: it builds no PairGap;
+    # the library builds the PairGaps on the first read of pairs, once
     rng = np.random.default_rng(20)
     mats = _random_set(rng, 4, 100, "mixed")
     path = tmp_path / "set.json"
     bio.save_state_set(path, [validate_state(m) for m in mats])
-    built, walked = [], []
-    records = bio.ArrayEncoder._records
+    built = []
 
     class Counting(criteria.PairGap):
         def __init__(self, *args):
             built.append(1)
             super().__init__(*args)
 
-    def counting_records(self, o, nl):
-        walked.append(1)
-        return records(self, o, nl)
-
     monkeypatch.setattr(criteria, "PairGap", Counting)
-    monkeypatch.setattr(bio.ArrayEncoder, "_records", counting_records)
     report = set_coherence_decide(mats)
     assert main(["coherence", str(path)]) == int(report.verdict == SET_COHERENT)
     capsys.readouterr()
-    assert (built, walked) == ([], [])
+    assert built == []
     pairs = report.pairs
     assert len(built) == 4950
     assert report.pairs is pairs and len(built) == 4950  # built once
@@ -373,7 +366,7 @@ def _random_set(rng, d, n, kind):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 64])
-def test_batched_kernel_matches_a_per_pair_reference(d):
+def test_batched_kernel_matches_a_per_pair_reference(d, monkeypatch):
     rng = np.random.default_rng(100 + d)
     for trial in range(6):
         n = int(rng.integers(2, 31 if d < 64 else 13))
@@ -403,9 +396,27 @@ def test_batched_kernel_matches_a_per_pair_reference(d):
                 commuting = d == 1 or kind == "commuting"
                 assert report.verdict == (SET_INCOHERENT if commuting else SET_COHERENT)
                 assert report.invariant_count == 2 * len(index_pairs)
+        # the reports, full and with the first, middle and last reference, are
+        # the same field for field at one and three pairs per chunk, where
+        # chunks straddle anchors and the reference
+        for ref in (None, *sorted({1, (n + 1) // 2, n})):
+            reports = []
+            for pairs_per_chunk in (None, 1, 3):
+                with monkeypatch.context() as m:
+                    if pairs_per_chunk:
+                        m.setattr(criteria, "_CHUNK_BYTES", pairs_per_chunk * 16 * d * d)
+                    try:
+                        reports.append(set_coherence_decide(mats) if ref is None
+                                       else reduced_set_coherence(mats, ref))
+                    except DegenerateReferenceError as exc:
+                        reports.append(str(exc))
+            if isinstance(reports[0], str):
+                assert reports == reports[:1] * 3
+            else:
+                assert [r.to_dict() for r in reports[1:]] == [reports[0].to_dict()] * 2
 
 
-def test_kernel_names_the_first_pair_with_an_imaginary_residue():
+def test_kernel_names_the_first_pair_with_an_imaginary_residue(monkeypatch):
     # diag(1, i) skipped validation, so tr(ABAB) with |+><+| is not real; it
     # is state 4 and state 5, so pairs (1, 4) and (1, 5) fail, the third and
     # fourth in pair order
@@ -416,8 +427,38 @@ def test_kernel_names_the_first_pair_with_an_imaginary_residue():
         set_coherence_decide(states)
     with pytest.raises(NumericInconsistencyError, match=r"for pair \(1, 4\)$"):
         reduced_set_coherence(states, 1)
+    # with one more anchor in front, the first failing pair (2, 5) is the
+    # eighth in full mode; chunks of 1-9 pairs put it first, last or mid-chunk
+    # in chunks that span anchors 1 and 2 or 2 and 3, and in reduced mode in
+    # chunks that straddle the reference
+    states = [pure_state([1, 0]), *states]
+    for pairs_per_chunk in range(1, 10):
+        monkeypatch.setattr(criteria, "_CHUNK_BYTES", pairs_per_chunk * 64)
+        with pytest.raises(NumericInconsistencyError, match=r"for pair \(2, 5\)$"):
+            set_coherence_decide(states)
+        with pytest.raises(NumericInconsistencyError, match=r"for pair \(2, 5\)$"):
+            reduced_set_coherence(states, 2)
     with pytest.raises(ShapeError, match=r"^dimension mismatch: \[2, 2, 3\]$"):
         set_coherence_decide([pure_state([1, 0]), pure_state([0, 1]), maximally_mixed(3)])
+
+
+def test_full_decision_fills_each_chunk_across_anchors(monkeypatch):
+    # at d=4 a 64 KiB chunk holds 256 pairs: the 4950 pairs of n=100 take
+    # ceil(4950/256) = 20 chunks, each gathering its A and its B stack, not
+    # one or more chunks per anchor (99)
+    reads = []
+    stacked = criteria._stacked
+
+    class Counting(np.ndarray):
+        def __getitem__(self, i):
+            if not isinstance(i, (int, np.integer)):
+                reads.append(len(np.arange(len(self))[i]))
+            return np.asarray(self)[i]
+
+    monkeypatch.setattr(criteria, "_stacked", lambda states: stacked(states).view(Counting))
+    report = set_coherence_decide(_random_set(np.random.default_rng(22), 4, 100, "mixed"))
+    assert len(report.pairs) == 4950 == 19 * 256 + 86
+    assert reads == [256, 256] * 19 + [86, 86]
 
 
 @pytest.mark.parametrize(
@@ -851,21 +892,13 @@ def test_imaginarity_witness_commuting_triple():
     assert wit.satisfied
 
 
-def test_imaginarity_witness_names_the_pair_that_overflows():
-    # rho_1 is tiny, so tr(rho_1 rho_2 rho_3) is finite, but the gap of
-    # states 2 and 3 overflows
-    rng = np.random.default_rng(1)
-    g = [random_state(2, "ginibre_mixed", rng) for _ in range(3)]
-    trio = [validate_state(c * s.matrix) for c, s in zip((1e-200, 1e100, 1e100), g)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match=r"for pair \(2, 3\)$"):
-            imaginarity_witness(*trio)
-
-
-@pytest.mark.parametrize("scales", [(1e160, 1e-100, 1e-100), (1e-100,) * 3, (1e-170, 1.0, 1.0)])
+@pytest.mark.parametrize("scales", [(1e160, 1e-100, 1e-100), (1e-100,) * 3, (1e-170, 1.0, 1.0),
+                                    (1e-200, 1e100, 1e100)])
 def test_imaginarity_witness_is_scale_free(scales, ginibre_trio):
-    # each side scales by the product of the scales; at the parent these
-    # overflowed to rhs = nan, or underflowed to rhs = 0 and passed on the slack
+    # each side scales by the product of the scales; unscaled, these overflow
+    # to rhs = nan, or underflow to rhs = 0 and pass on the slack.  At
+    # (1e-200, 1e100, 1e100) tr(rho_2^2 rho_3^2), about 1e400, is past the
+    # double range, but no output holds it
     unit = imaginarity_witness(*ginibre_trio((1.0, 1.0, 1.0)))
     wit = imaginarity_witness(*ginibre_trio(scales))
     c = math.prod(scales)

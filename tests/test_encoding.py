@@ -118,7 +118,9 @@ def test_regular_arrays_take_one_c_encoder_call_each(monkeypatch):
     doc = bio.state_set_to_document([random_state(3, "ginibre_mixed", rng) for _ in range(2)])
     table = [{"indices": [1, k], "gap": 0.25 * k, "commutes": k % 2 == 0, "note": None,
               "count": k} for k in range(2, 6)]
-    report = {"pairs": table, "eigenvalues": [0.25, 0.75], "gram": [[1.0, 0.0], [0.0, 1.0]]}
+    columns = {key: [r[key] for r in table] for key in table[0]}
+    report = {"pairs": bio._Table(columns), "eigenvalues": [0.25, 0.75],
+              "gram": [[1.0, 0.0], [0.0, 1.0]]}
     labelled = {"n": 4, "pairs": [{"label": f"s{r['count']}", **r} for r in table], "tol": 1e-9}
     calls = []
 
@@ -130,9 +132,9 @@ def test_regular_arrays_take_one_c_encoder_call_each(monkeypatch):
     def no_fallback(*args, **kwargs):
         raise AssertionError("fell back to the stdlib encoder")
 
-    def calls_of(x):
+    def calls_of(x, records=None):  # records: x as the stdlib reads it
         calls.clear()
-        assert encoded(x) == reference(x)
+        assert encoded(x) == reference(x if records is None else records)
         return list(calls)
 
     monkeypatch.setattr(bio, "_COMPACT", Counting(separators=(",", ":"), allow_nan=False))
@@ -144,17 +146,22 @@ def test_regular_arrays_take_one_c_encoder_call_each(monkeypatch):
     made = calls_of(doc)
     assert len(made) == len(arrays) + 1 and all(c is a for c, a in zip(made, arrays))
     assert made[-1] == [doc["dimension"]]
-    # One call per column of a table with no string column, in key order,
+    # One call per column of a _Table with no string column, in key order,
     # each column as it is; a report that leaves the walk no value makes no
     # last call.
-    columns = [[r[key] for r in table] for key in table[0]]
-    made = calls_of(report)
-    assert made[:-2] == columns
-    assert [list(map(type, c)) for c in made[:-2]] == [list(map(type, c)) for c in columns]
+    made = calls_of(report, {**report, "pairs": table})
+    assert made[:-2] == list(columns.values())
+    assert all(c is column for c, column in zip(made, columns.values()))
     assert made[-2] is report["eigenvalues"] and made[-1] is report["gram"]
     assert len(made) == len(columns) + 2
-    # A table with a string column makes no call of its own: it is walked,
-    # and its values join the last call in document order.
+    # The same rows as a list of dicts are walked: their values join the
+    # last call in document order.
+    values = [v for r in table for v in (*r["indices"], r["gap"], r["commutes"], r["note"],
+                                         r["count"])]
+    made = calls_of({**report, "pairs": table})
+    assert made == [report["eigenvalues"], report["gram"], values]
+    assert list(map(type, made[-1])) == list(map(type, values))
+    # So is a list of dicts with a string column.
     walked = [4, *(v for r in table for v in (*r["indices"], r["gap"], r["commutes"],
                                                  r["note"], r["count"])), 1e-9]
     made = calls_of(labelled)
