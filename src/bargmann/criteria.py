@@ -8,6 +8,11 @@ as 1/2 ||AB - BA||_F^2, so it stays >= 0 in floating point.  Raw arrays must
 be Hermitian to ``states.HERM_TOL``.  A collection of states is *set
 incoherent* (jointly diagonalizable) iff every pair passes.
 
+Range: both traces have degree (2, 2), so the pair kernel computes them on
+the states rescaled by exact powers of two (``states._binary_scaled``, which
+the imaginarity witness shares) and scales them back once.  ``tol`` is still
+compared with the scaled-back gap: an absolute test.
+
 The remaining criteria here are one-sided or dimension-specific companions:
 overlap-polytope facets on three states, Gram-matrix rank of Bloch vectors
 (from the overlaps tr(rho_i rho_j) and traces alone), qubit polynomial
@@ -34,7 +39,6 @@ from .states import (
     BlochVector,
     PositiveOperator,
     _binary_scaled,
-    _frobenius,
     _pauli_vector,
     as_matrix,
 )
@@ -70,7 +74,9 @@ __all__ = [
 COMMUTE_TOL = 1e-10
 FACET_TOL = 1e-9
 # tr(ABAB) is real for Hermitian A, B; an imaginary part above IM_ERROR_TOL
-# ||A||_F^2 ||B||_F^2 (>= ||AB||_F^2 >= |tr(ABAB)|) is not rounding.
+# ||A||_F^2 ||B||_F^2 (>= ||AB||_F^2 >= |tr(ABAB)|) is not rounding.  The test
+# reads the binary-scaled pair, whose squared norms lie in [1/4, 2 d^2), so its
+# bound never underflows to a spurious failure.
 IM_ERROR_TOL = 1e-8
 
 SET_INCOHERENT = "set_incoherent"
@@ -181,8 +187,13 @@ def _pair_gaps(x, li, ki) -> tuple[list, list, list]:
     lists or arrays ``li`` and ``ki``; errors name the pair (l + 1, k + 1).
     No :class:`PairGap` is built.
 
+    It runs on the stack y of :func:`~bargmann.states._binary_scaled`: each
+    column has degree (2, 2), so it is scaled back by 2^(2(e_l + e_k)) with
+    ``np.ldexp``, exactly where the result is normal, to its subnormal or 0
+    below the double range, and to inf, which raises, past it.
+
     Each chunk of at most ``_CHUNK_BYTES // (16 d^2)`` pairs gathers its A and
-    B stacks ``x[li[s:t]]`` and ``x[ki[s:t]]``, so one chunk can hold the pairs
+    B stacks ``y[li[s:t]]`` and ``y[ki[s:t]]``, so one chunk can hold the pairs
     of several anchors (left operands).
     Each M = A B gives ``delta_llkk = tr(A^2 B^2) = ||M||_F^2``,
     the gap ``1/2 ||C||_F^2`` with C = M - M† = [A, B], and
@@ -190,34 +201,34 @@ def _pair_gaps(x, li, ki) -> tuple[list, list, list]:
     product, then one row-wise dot product per column, all over contiguous
     stacks.  The first failing pair raises: :class:`NumericError` on a
     non-finite tr(A^2 B^2) or gap (overflow), :class:`NumericInconsistencyError`
-    on |Im tr(ABAB)| above ``IM_ERROR_TOL ||A||_F^2 ||B||_F^2``.
+    on |Im tr(ABAB)| above ``IM_ERROR_TOL ||A||_F^2 ||B||_F^2``, tested on the
+    scaled pair and printed scaled back.
     """
+    y, e, n2 = _binary_scaled(x)
     size = max(1, _CHUNK_BYTES // (16 * x[0].size))
     columns = ([], [], [])
     for s in range(0, len(li), size):
         ls, ks = li[s:s + size], ki[s:s + size]
-        m = x[ls] @ x[ks]
+        m = y[ls] @ y[ks]
         c = m - m.conj().swapaxes(1, 2)
         m, c = m.reshape(len(ks), -1), c.reshape(len(ks), -1)
         mf, cf = m.view(float), c.view(float)
         llkk = np.vecdot(mf, mf)
         gap = 0.5 * np.vecdot(cf, cf)
         lklk = llkk - np.vecdot(c, m)  # vecdot conjugates its first argument
-        im = lklk.imag
-        if not (np.isfinite(llkk).all() and np.isfinite(gap).all()
-                and (np.abs(im) <= IM_ERROR_TOL * llkk).all()):
-            for j, (l, k) in enumerate(zip(ls, ks)):
-                if not (math.isfinite(llkk[j]) and math.isfinite(gap[j])):
-                    raise NumericError(f"pair invariants are not finite: tr(A^2 B^2) = {llkk[j]}, "
-                                       f"gap = {gap[j]} for pair ({l + 1}, {k + 1})")
-                # Rounding in M scales with ||A||_F ||B||_F even where M cancels
-                # (orthogonal A, B); as llkk <= ||A||_F^2 ||B||_F^2, the norms
-                # are needed only past llkk.
-                if abs(im[j]) > IM_ERROR_TOL * llkk[j] and \
-                        abs(im[j]) > IM_ERROR_TOL * np.vdot(x[l], x[l]).real * np.vdot(x[k], x[k]).real:
-                    raise NumericInconsistencyError(f"tr(ABAB) should be real, found imaginary "
-                                                    f"part {im[j]:.3e} for pair ({l + 1}, {k + 1})")
-        for column, chunk in zip(columns, (llkk, lklk.real, gap)):
+        real = np.abs(lklk.imag) <= IM_ERROR_TOL * n2[ls] * n2[ks]
+        with np.errstate(over="ignore"):
+            llkk, re, gap, im = np.ldexp((llkk, lklk.real, gap, lklk.imag), 2 * (e[ls] + e[ks]))
+        finite = np.isfinite(llkk) & np.isfinite(gap)
+        if not (finite & real).all():
+            j = int(np.argmin(finite & real))
+            l, k = ls[j] + 1, ks[j] + 1
+            if not finite[j]:
+                raise NumericError(f"pair invariants are not finite: tr(A^2 B^2) = {llkk[j]}, "
+                                   f"gap = {gap[j]} for pair ({l}, {k})")
+            raise NumericInconsistencyError(f"tr(ABAB) should be real, found imaginary "
+                                            f"part {im[j]:.3e} for pair ({l}, {k})")
+        for column, chunk in zip(columns, (llkk, re, gap)):
             column += chunk.tolist()
     return columns
 
@@ -587,30 +598,19 @@ class ImaginarityWitness(_Report):
     im_delta: float
 
 
-def _ldexp(value: float, exponent: int, message: str) -> float:
-    """``value * 2^exponent``; :class:`NumericError` with ``message`` when that
-    overflows the double range.  An underflow rounds, as any product does."""
-    try:
-        return math.ldexp(value, exponent)
-    except OverflowError:
-        raise NumericError(message) from None
-
-
 def imaginarity_witness(
     rho_l: PositiveOperator, rho_k: PositiveOperator, rho_s: PositiveOperator
 ) -> ImaginarityWitness:
     """Evaluate the imaginarity bound for an ordered state triple.
 
-    The witness is computed on the trio y_i = 2^-e_i rho_i of
-    :func:`~bargmann.states._binary_scaled`, whose largest |Re| or |Im|
-    entries lie in [1/2, 1), and lhs, rhs and im_delta are scaled back by
-    2^E, E = e_l + e_k + e_s.  Both sides of the bound scale by that same
-    power of two, exactly, so no step leaves the double range where the
-    result does not.  The gap of (k, s) comes from the pair kernel of
-    :func:`commutator_gap`, run on the scaled pair, so an unscaled
-    tr(rho_k^2 rho_s^2) past the double range is no error: no output holds it.
-    A result past the range raises :class:`NumericError`; a result below it
-    rounds to a subnormal or 0.
+    The trio y_i = 2^-e_i rho_i and its norms ||y_i||_F come from
+    :func:`~bargmann.states._binary_scaled`, as in the pair kernel, and lhs,
+    rhs and im_delta are scaled back by 2^E, E = e_l + e_k + e_s, with
+    ``np.ldexp``: both sides of the bound scale by that power of two, exactly.
+    The gap of (k, s) is the kernel's on the scaled trio (scaled back by 2^0),
+    so an unscaled tr(rho_k^2 rho_s^2) past the double range, which no output
+    holds, is no error.  A result past the range raises :class:`NumericError`;
+    one below it rounds, once, to a subnormal or 0.
 
     ``satisfied`` is lhs <= rhs + 1e-10 on the scaled trio, hence
     2^-E lhs <= 2^-E rhs + 1e-10 on the given one: a slack relative to the
@@ -625,18 +625,17 @@ def imaginarity_witness(
 
 def _imaginarity(rho_l, rho_k, rho_s) -> tuple[ImaginarityWitness, float]:
     """The witness and |Im tr(rho_l rho_k rho_s)| / prod ||rho||_F, read on the scaled trio."""
-    x = _stacked([rho_l, rho_k, rho_s])
-    y, e = _binary_scaled(x)
+    y, e, n2 = _binary_scaled(_stacked([rho_l, rho_k, rho_s]))
     im = _product_trace(list(y)).imag
     # ||[y_k, y_s]||_F^2 = 2 gap >= 0 by construction.
     _, _, (gap,) = _pair_gaps(y, [1], [2])
-    lhs, rhs = 2.0 * abs(im), _frobenius(y[0]) * math.sqrt(2.0 * gap)
-    scale = int(e.sum())
-    im_delta = _ldexp(im, scale, "trace of chained product is not finite")
-    bound = "imaginarity bound is not finite"
+    lhs, rhs = 2.0 * abs(im), math.sqrt(n2[0]) * math.sqrt(2.0 * gap)
+    with np.errstate(over="ignore"):
+        im_delta, lhs_e, rhs_e = np.ldexp((im, lhs, rhs), int(e.sum())).tolist()
+    if not math.isfinite(im_delta):
+        raise NumericError("trace of chained product is not finite")
+    if not (math.isfinite(lhs_e) and math.isfinite(rhs_e)):
+        raise NumericError("imaginarity bound is not finite")
     return ImaginarityWitness(
-        lhs=_ldexp(lhs, scale, bound),
-        rhs=_ldexp(rhs, scale, bound),
-        satisfied=bool(lhs <= rhs + 1e-10),
-        im_delta=im_delta,
-    ), abs(im) / math.prod(map(_frobenius, y)) if im else 0.0
+        lhs=lhs_e, rhs=rhs_e, satisfied=bool(lhs <= rhs + 1e-10), im_delta=im_delta,
+    ), abs(im) / math.prod(map(math.sqrt, n2)) if im else 0.0

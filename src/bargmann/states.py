@@ -153,22 +153,19 @@ def as_matrix(op: "PositiveOperator | np.ndarray") -> np.ndarray:
     return as_hermitian_matrix(op)
 
 
-def _binary_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(y, e)`` for a stack ``x`` of finite complex matrices, (n, d, d):
+def _binary_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(y, e, n2)`` for a stack ``x`` of finite complex matrices, (n, d, d):
     y_i = 2^-e_i x_i, e_i from ``frexp`` of the largest |Re| or |Im| entry of
-    x_i, which y_i holds in [1/2, 1) (e_i = 0 for a zero matrix).  A power of
-    two scales exactly, so sums and products of the y_i round as those of the
-    x_i do wherever neither leaves the double range."""
+    x_i, which y_i holds in [1/2, 1) (e_i = 0 for a zero matrix), and
+    n2_i = ||y_i||_F^2, below 2 d^2 and at least 1/4 unless x_i = 0.  A power
+    of two scales exactly, so sums and products of the y_i round as those of
+    the x_i do wherever neither leaves the double range, and a quantity of
+    degree m in x_i is 2^(m e_i) times its value on y_i.  This is the one
+    range strategy of the pair kernel and the imaginarity witness."""
     f = x.view(float)
-    e = np.frexp(np.max(np.abs(f), axis=(1, 2)))[1]
-    return np.ldexp(f, -e[:, None, None]).view(complex), e
-
-
-def _frobenius(m: np.ndarray) -> float:
-    """||m||_F of a finite matrix, its squares summed on the scaled matrix of
-    :func:`_binary_scaled`, so that none overflows or underflows."""
-    y, e = _binary_scaled(m[None])
-    return math.ldexp(math.sqrt(float(np.sum(np.abs(y) ** 2))), int(e[0]))
+    e = np.frexp(np.maximum(f.max(axis=(1, 2)), -f.min(axis=(1, 2))))[1]
+    y = np.ldexp(f, -e[:, None, None]).view(complex)
+    return y, e, np.sum(np.abs(y) ** 2, axis=(1, 2))
 
 
 def purity(rho: PositiveOperator) -> float:

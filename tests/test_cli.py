@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -517,6 +518,29 @@ def test_non_finite_pair_invariants_exit_2(tmp_path, capsys):
     with pytest.raises(ValueError):
         _write_report({"gap": float("nan")}, None)
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("reference", [None, 1, 2])
+def test_pair_values_below_the_double_range_are_written_not_refused(reference, tmp_path, capsys):
+    # a d=4 Ginibre pair (relative gap 0.07) at trace 1e-80: tr(A^2 B^2) is
+    # about 4e-322, a subnormal.  Read on the pair rescaled by powers of two,
+    # its imaginary residue is no error, and each value is written as its
+    # subnormal, as the library reports it
+    rng = np.random.default_rng(5)
+    ops = [validate_state(1e-80 * random_state(4, "ginibre_mixed", rng).matrix) for _ in range(2)]
+    path = tmp_path / "tiny.json"
+    bio.save_state_set(path, ops)
+    argv = ["coherence", str(path), "--tol", "0"]
+    if reference is None:
+        report = set_coherence_decide(ops, 0.0)
+    else:
+        report = reduced_set_coherence(ops, reference, 0.0)
+        argv += ["--reference", str(reference)]
+    code, payload = run_json(capsys, argv)
+    assert (code, payload["verdict"], report.verdict) == (1, "set_coherent", "set_coherent")
+    assert payload == {**report.to_dict(), "tol": 0.0}
+    pair = payload["pairs"][0]
+    assert 0 < pair["gap"] < pair["delta_llkk"] < sys.float_info.min
 
 
 @pytest.mark.parametrize(

@@ -115,14 +115,14 @@ def test_commutator_gap_accepts_plain_hermitian():
 
 def test_commutator_gap_rejects_non_finite_invariants():
     # a commuting set scaled to trace 1e100 overflows tr(A^2 B^2): an error,
-    # not a NaN gap that reads as "does not commute"
+    # not a NaN gap that reads as "does not commute", and no numpy overflow
+    # warning ahead of it (pytest turns any RuntimeWarning into an exception)
     rng = np.random.default_rng(1)
     big = [validate_state(1e100 * s.matrix) for s in commuting_set(4, 3, rng)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match="not finite"):
-            commutator_gap(big[0], big[1])
-        with pytest.raises(NumericError, match="not finite"):
-            set_coherence_decide(big)
+    with pytest.raises(NumericError, match="not finite"):
+        commutator_gap(big[0], big[1])
+    with pytest.raises(NumericError, match="not finite"):
+        set_coherence_decide(big)
 
 
 def test_commutator_gap_is_the_pair_of_set_coherence_decide():
@@ -226,7 +226,7 @@ def test_soundness_and_completeness_at_desk_scale():
 
 def test_gap_scaling_covariance():
     rng = np.random.default_rng(41)
-    for _ in range(30):
+    for trial in range(30):
         d = int(rng.integers(2, 9))
         a, b = rand_hermitian(rng, d), rand_hermitian(rng, d)
         base = commutator_gap(a, b, tol=0.0)
@@ -237,6 +237,15 @@ def test_gap_scaling_covariance():
                     s * s * t * t * base.gap, rel=1e-10, abs=1e-12
                 )
                 assert scaled.commutes == base.commutes
+        if trial < 10:
+            # under 2^k every column is exactly 2^4k times the unit one, bit
+            # for bit, down to its subnormal or 0, for every k where nothing
+            # overflows: the kernel scales back once, with no rounding between
+            unit = (base.delta_llkk, base.delta_lklk, base.gap)
+            for k in range(-300, 250):
+                pg = commutator_gap(2.0**k * a, 2.0**k * b, tol=0.0)
+                got = (pg.delta_llkk, pg.delta_lklk, pg.gap)
+                assert [v.hex() for v in got] == [math.ldexp(v, 4 * k).hex() for v in unit], k
 
 
 # --------------------------------------------------------------------------
@@ -445,9 +454,9 @@ def test_kernel_names_the_first_pair_with_an_imaginary_residue(monkeypatch):
 def test_full_decision_fills_each_chunk_across_anchors(monkeypatch):
     # at d=4 a 64 KiB chunk holds 256 pairs: the 4950 pairs of n=100 take
     # ceil(4950/256) = 20 chunks, each gathering its A and its B stack, not
-    # one or more chunks per anchor (99)
+    # one or more chunks per anchor (99); the gathers read the binary-scaled stack
     reads = []
-    stacked = criteria._stacked
+    binary_scaled = criteria._binary_scaled
 
     class Counting(np.ndarray):
         def __getitem__(self, i):
@@ -455,7 +464,11 @@ def test_full_decision_fills_each_chunk_across_anchors(monkeypatch):
                 reads.append(len(np.arange(len(self))[i]))
             return np.asarray(self)[i]
 
-    monkeypatch.setattr(criteria, "_stacked", lambda states: stacked(states).view(Counting))
+    def counting(x):
+        y, e, n2 = binary_scaled(x)
+        return y.view(Counting), e, n2
+
+    monkeypatch.setattr(criteria, "_binary_scaled", counting)
     report = set_coherence_decide(_random_set(np.random.default_rng(22), 4, 100, "mixed"))
     assert len(report.pairs) == 4950 == 19 * 256 + 86
     assert reads == [256, 256] * 19 + [86, 86]
