@@ -253,10 +253,7 @@ def main(argv: "list[str] | None" = None) -> int:
     command = COMMANDS[args.command]
     try:
         ops = list(io.load_state_set(args.file).states) if command.reads_file else None
-        # Kernels raise NumericError on a non-finite result, so numpy's own
-        # overflow warnings would only print noise ahead of that error line.
-        with np.errstate(over="ignore", invalid="ignore"):
-            payload, finding = command.compute(args, ops)
+        payload, finding = command.compute(args, ops)
         _write_report(payload, args.out)
     except (BargmannError, ValueError, OSError, MemoryError) as exc:
         # a bare MemoryError has no message, so its name stands in

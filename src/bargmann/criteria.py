@@ -8,10 +8,10 @@ as 1/2 ||AB - BA||_F^2, so it stays >= 0 in floating point.  Raw arrays must
 be Hermitian to ``states.HERM_TOL``.  A collection of states is *set
 incoherent* (jointly diagonalizable) iff every pair passes.
 
-Range: both traces have degree (2, 2), so the pair kernel computes them on
-the states rescaled by exact powers of two (``states._binary_scaled``, which
-the imaginarity witness shares) and scales them back once.  ``tol`` is still
-compared with the scaled-back gap: an absolute test.
+Range: the pair kernel, the Bloch Gram and the imaginarity witness compute
+their traces on the states rescaled by exact powers of two
+(``numkernel._binary_scaled``) and scale each back once, by its degree in each
+state.  ``tol`` is still compared with the scaled-back gap: an absolute test.
 
 The remaining criteria here are one-sided or dimension-specific companions:
 overlap-polytope facets on three states, Gram-matrix rank of Bloch vectors
@@ -34,14 +34,8 @@ from .exceptions import (
     ShapeError,
 )
 from .io import _Table
-from .numkernel import _product_trace
-from .states import (
-    BlochVector,
-    PositiveOperator,
-    _binary_scaled,
-    _pauli_vector,
-    as_matrix,
-)
+from .numkernel import _binary_scaled, _product_trace, _unscaled
+from .states import BlochVector, PositiveOperator, _pauli_vector, _stacked
 
 __all__ = [
     "COMMUTE_TOL",
@@ -187,7 +181,7 @@ def _pair_gaps(x, li, ki) -> tuple[list, list, list]:
     lists or arrays ``li`` and ``ki``; errors name the pair (l + 1, k + 1).
     No :class:`PairGap` is built.
 
-    It runs on the stack y of :func:`~bargmann.states._binary_scaled`: each
+    It runs on the stack y of :func:`~bargmann.numkernel._binary_scaled`: each
     column has degree (2, 2), so it is scaled back by 2^(2(e_l + e_k)) with
     ``np.ldexp``, exactly where the result is normal, to its subnormal or 0
     below the double range, and to inf, which raises, past it.
@@ -260,17 +254,6 @@ def commutator_gap(
     """
     (llkk,), (re,), (gap,) = _pair_gaps(_stacked([op1, op2]), [0], [1])
     return PairGap((1, 2), llkk, re, gap, gap <= tol)
-
-
-def _stacked(states: list[PositiveOperator]) -> np.ndarray:
-    """The states' matrices as one (n, d, d) stack: at least one state, each
-    raw array checked once, all of one dimension."""
-    if len(states) == 0:
-        raise ValueError("need at least one state")
-    mats = [as_matrix(s) for s in states]
-    if len({m.shape for m in mats}) > 1:
-        raise ShapeError(f"dimension mismatch: {[m.shape[0] for m in mats]}")
-    return np.stack(mats)
 
 
 def _decide(x: np.ndarray, tol, reference) -> CoherenceReport:
@@ -437,8 +420,9 @@ def gram_bloch(states: list[PositiveOperator], convention: str) -> np.ndarray:
     ``G = c (Z - t t^T / d)`` with Z_ij = tr(rho_i rho_j) and t_i = tr rho_i:
     c = 1 for ``orthonormal``, as {I/sqrt(d), T_a} is an orthonormal basis;
     c = 2 for ``pauli``, as rho = (tr rho I + <r, P>)/2.  No Bloch vector is
-    built: O(n^2 d^2) time and O(n d^2) memory in any dimension.  A
-    non-finite entry (overflow) raises :class:`NumericError`.
+    built: O(n^2 d^2) time and O(n d^2) memory in any dimension.  Entry (i, j)
+    is read on the binary-scaled stack, times 2^(e_i + e_j); overflow raises
+    :class:`NumericError`.
     """
     return _gram_of(_stacked(states), convention)
 
@@ -451,12 +435,10 @@ def _gram_of(x: np.ndarray, convention: str) -> np.ndarray:
         raise ValueError(f"unknown Bloch convention {convention!r}")
     if convention == "pauli" and d != 2:
         raise ShapeError(f"pauli convention requires dimension 2, got {d}")
-    t = np.trace(x, axis1=1, axis2=2).real
-    v = x.reshape(n, -1).view(np.float64)  # v_i . v_j = Re tr(rho_i rho_j†)
-    gram = c * (v @ v.T - np.outer(t, t) / d)
-    if not np.all(np.isfinite(gram)):
-        raise NumericError("Bloch Gram matrix is not finite")
-    return gram
+    y, e, _ = _binary_scaled(x, norms=False)
+    t = np.trace(y, axis1=1, axis2=2).real
+    v = y.reshape(n, -1).view(np.float64)  # v_i . v_j = Re tr(y_i y_j†)
+    return _unscaled(c * (v @ v.T - np.outer(t, t) / d), np.add.outer(e, e), "Bloch Gram matrix")
 
 
 @dataclass(frozen=True)
@@ -604,9 +586,9 @@ def imaginarity_witness(
     """Evaluate the imaginarity bound for an ordered state triple.
 
     The trio y_i = 2^-e_i rho_i and its norms ||y_i||_F come from
-    :func:`~bargmann.states._binary_scaled`, as in the pair kernel, and lhs,
-    rhs and im_delta are scaled back by 2^E, E = e_l + e_k + e_s, with
-    ``np.ldexp``: both sides of the bound scale by that power of two, exactly.
+    :func:`~bargmann.numkernel._binary_scaled`, as in the pair kernel, and lhs,
+    rhs and im_delta are scaled back by 2^E, E = e_l + e_k + e_s, in one call:
+    both sides of the bound scale by that power of two, exactly.
     The gap of (k, s) is the kernel's on the scaled trio (scaled back by 2^0),
     so an unscaled tr(rho_k^2 rho_s^2) past the double range, which no output
     holds, is no error.  A result past the range raises :class:`NumericError`;
@@ -630,12 +612,8 @@ def _imaginarity(rho_l, rho_k, rho_s) -> tuple[ImaginarityWitness, float]:
     # ||[y_k, y_s]||_F^2 = 2 gap >= 0 by construction.
     _, _, (gap,) = _pair_gaps(y, [1], [2])
     lhs, rhs = 2.0 * abs(im), math.sqrt(n2[0]) * math.sqrt(2.0 * gap)
-    with np.errstate(over="ignore"):
-        im_delta, lhs_e, rhs_e = np.ldexp((im, lhs, rhs), int(e.sum())).tolist()
-    if not math.isfinite(im_delta):
-        raise NumericError("trace of chained product is not finite")
-    if not (math.isfinite(lhs_e) and math.isfinite(rhs_e)):
-        raise NumericError("imaginarity bound is not finite")
+    exp, what = int(e.sum()), "trace of chained product"
+    im_delta, lhs_e, rhs_e = _unscaled((im, lhs, rhs), exp, what).tolist()
     return ImaginarityWitness(
         lhs=lhs_e, rhs=rhs_e, satisfied=bool(lhs <= rhs + 1e-10), im_delta=im_delta,
     ), abs(im) / math.prod(map(math.sqrt, n2)) if im else 0.0

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import WordError
-from .numkernel import _product_trace
-from .states import PositiveOperator, as_matrix
+from .numkernel import _word_trace
+from .states import PositiveOperator, _stacked
 
 __all__ = [
     "Word",
@@ -106,11 +106,12 @@ def bargmann_invariant(states: list[PositiveOperator], word: Word) -> complex:
     """Invariant tr(rho_l1 ... rho_lm) for the given word.
 
     Letters index into ``states`` 1-based; all states must share a dimension.
-    For normalized states the modulus never exceeds 1 (up to rounding).
+    For normalized states the modulus never exceeds 1 (up to rounding).  It is
+    read on the binary-scaled states: right at any mix of traces, if in range.
     """
     w = check_word(word, n_states=len(states))
-    mats = {k: as_matrix(states[k - 1]) for k in dict.fromkeys(w)}  # each letter once
-    return _product_trace([mats[k] for k in w])
+    letters = {k: i for i, k in enumerate(dict.fromkeys(w))}  # each letter once
+    return _word_trace(_stacked([states[k - 1] for k in letters]), [letters[k] for k in w])
 
 
 def evaluate_scenario(

@@ -2,14 +2,16 @@
 
 Matrices are plain ``numpy`` arrays of ``complex128`` (row-major).  Every entry
 point checks raw arrays' shape and finiteness, and :func:`hermitian_eig` also
-their Hermiticity.  States are checked once, by ``states.validate_state``; the
-word path then multiplies them unscanned through :func:`chain_product_trace`'s
-product loop.  Dimensions of a few hundred are the intended operating range.
+their Hermiticity.  States are checked once, by ``states.validate_state``.
+Every product trace is read on the stack rescaled by exact powers of two
+(:func:`_binary_scaled`) and scaled back once (:func:`_unscaled`).  Dimensions
+of a few hundred are the intended operating range.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,7 +84,8 @@ def chain_product_trace(matrices: Sequence[np.ndarray]) -> complex:
     """Trace of the ordered product ``M1 @ M2 @ ... @ Mk``.
 
     The product accumulates left-to-right with no reordering, so the result
-    is reproducible bit-for-bit for a fixed input order.
+    is reproducible bit-for-bit for a fixed input order.  It is read on the
+    binary-scaled matrices (:func:`_word_trace`) at any mix of scales; NumericError past the range.
 
     Parameters
     ----------
@@ -94,24 +97,51 @@ def chain_product_trace(matrices: Sequence[np.ndarray]) -> complex:
     complex
         ``tr(M1 M2 ... Mk)``.
     """
-    return _product_trace([as_complex_matrix(m) for m in matrices])
+    ms = [as_complex_matrix(m) for m in matrices]
+    if not ms:
+        raise ValueError("chain_product_trace requires at least one matrix")
+    for i, m in enumerate(ms[1:], start=2):
+        if m.shape != ms[0].shape:
+            raise ShapeError(f"matrix {i} has dimension {m.shape[0]}, expected {ms[0].shape[0]}")
+    return _word_trace(np.array(ms), list(range(len(ms))))
 
 
 def _product_trace(ms: Sequence[np.ndarray]) -> complex:
-    """:func:`chain_product_trace` of square, finite matrices, not scanned."""
-    if not ms:
-        raise ValueError("chain_product_trace requires at least one matrix")
-    acc = ms[0]
-    for i, m in enumerate(ms[1:], start=2):
-        if m.shape[0] != acc.shape[0]:
-            raise ShapeError(
-                f"matrix {i} has dimension {m.shape[0]}, expected {acc.shape[0]}"
-            )
-        acc = acc @ m
-    value = complex(np.trace(acc))
-    if not (np.isfinite(value.real) and np.isfinite(value.imag)):
-        raise NumericError("trace of chained product is not finite")
-    return value
+    """tr(M1 M2 ... Mk), multiplied left to right with no check."""
+    return complex(np.trace(reduce(np.matmul, ms)))
+
+
+def _binary_scaled(x: np.ndarray, norms: bool = True) -> tuple:
+    """``(y, e, n2)`` for a stack ``x`` of finite complex matrices, (n, d, d):
+    y_i = 2^-e_i x_i, e_i from ``frexp`` of the largest |Re| or |Im| entry of
+    x_i, which y_i holds in [1/2, 1) (e_i = 0 for a zero matrix), and n2_i =
+    ||y_i||_F^2 in [1/4, 2 d^2) unless x_i = 0 (None unless ``norms``).  The y_i
+    round as the x_i do wherever neither leaves the double range, and a quantity
+    of degree m in x_i is 2^(m e_i) times its value on y_i: the one range
+    strategy of every product trace."""
+    f = x.view(float)
+    e = np.frexp(np.maximum(f.max(axis=(1, 2)), -f.min(axis=(1, 2))))[1]
+    y = np.ldexp(f, -e[:, None, None]).view(complex)
+    return y, e, np.sum(np.abs(y) ** 2, axis=(1, 2)) if norms else None
+
+
+def _unscaled(values, exp, what: str) -> np.ndarray:
+    """``values`` times 2^``exp`` by ``np.ldexp``: exact where normal, rounded once
+    below the double range; a non-finite result raises :class:`NumericError`."""
+    with np.errstate(over="ignore"):
+        out = np.ldexp(values, exp)
+    if not np.isfinite(out).all():
+        raise NumericError(f"{what} is not finite")
+    return out
+
+
+def _word_trace(x: np.ndarray, word: list) -> complex:
+    """tr(x[i1] ... x[im]) for 0-based indices ``word`` into the stack ``x``: the
+    binary-scaled product, of degree one per factor, times 2^(e_i1 + ... + e_im)."""
+    y, e, _ = _binary_scaled(x, norms=False)
+    value = _product_trace([y[i] for i in word])
+    exp = sum(map(e.tolist().__getitem__, word))
+    return complex(*_unscaled((value.real, value.imag), exp, "trace of chained product"))
 
 
 def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

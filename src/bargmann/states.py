@@ -153,34 +153,36 @@ def as_matrix(op: "PositiveOperator | np.ndarray") -> np.ndarray:
     return as_hermitian_matrix(op)
 
 
-def _binary_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(y, e, n2)`` for a stack ``x`` of finite complex matrices, (n, d, d):
-    y_i = 2^-e_i x_i, e_i from ``frexp`` of the largest |Re| or |Im| entry of
-    x_i, which y_i holds in [1/2, 1) (e_i = 0 for a zero matrix), and
-    n2_i = ||y_i||_F^2, below 2 d^2 and at least 1/4 unless x_i = 0.  A power
-    of two scales exactly, so sums and products of the y_i round as those of
-    the x_i do wherever neither leaves the double range, and a quantity of
-    degree m in x_i is 2^(m e_i) times its value on y_i.  This is the one
-    range strategy of the pair kernel and the imaginarity witness."""
-    f = x.view(float)
-    e = np.frexp(np.maximum(f.max(axis=(1, 2)), -f.min(axis=(1, 2))))[1]
-    y = np.ldexp(f, -e[:, None, None]).view(complex)
-    return y, e, np.sum(np.abs(y) ** 2, axis=(1, 2))
+def _stacked(states: "Sequence[PositiveOperator | np.ndarray]") -> np.ndarray:
+    """The states' matrices as one (n, d, d) stack: at least one state, each
+    raw array checked once, all of one dimension."""
+    if len(states) == 0:
+        raise ValueError("need at least one state")
+    mats = [as_matrix(s) for s in states]
+    if len({m.shape for m in mats}) > 1:
+        raise ShapeError(f"dimension mismatch: {[m.shape[0] for m in mats]}")
+    return np.array(mats)
 
 
 def purity(rho: PositiveOperator) -> float:
-    """``tr(rho^2)``; equals 1 exactly for normalized pure states."""
-    m = as_matrix(rho)
-    return float(np.sum(np.abs(m) ** 2))
+    """``tr(rho^2)``; 1 exactly for normalized pure states; NumericError past the double range."""
+    with np.errstate(over="ignore"):
+        value = float(np.sum(np.abs(as_matrix(rho)) ** 2))
+    if not math.isfinite(value):
+        raise NumericError("purity is not finite")
+    return value
 
 
 def overlap(rho: PositiveOperator, sigma: PositiveOperator) -> float:
-    """Two-state overlap ``tr(rho sigma)`` (real for Hermitian inputs)."""
+    """Overlap ``tr(rho sigma)`` (real for Hermitian inputs); NumericError past the double range."""
     a, b = as_matrix(rho), as_matrix(sigma)
     if a.shape != b.shape:
         raise ShapeError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     # sum conj(b_ij) a_ij = tr(b† a) = tr(a b) for Hermitian b, in O(d^2).
-    return float(np.vdot(b, a).real)
+    value = float(np.vdot(b, a).real)  # nan, and no warning, past the double range
+    if not math.isfinite(value):
+        raise NumericError("overlap is not finite")
+    return value
 
 
 def pure_state(vector: Sequence[complex]) -> PositiveOperator:

@@ -69,3 +69,12 @@ def ginibre_trio():
     rng = np.random.default_rng(1)
     mats = [random_state(2, "ginibre_mixed", rng).matrix for _ in range(3)]
     return lambda scales: [validate_state(c * m) for c, m in zip(scales, mats)]
+
+
+@pytest.fixture
+def ginibre_pair():
+    """Function of two scales: the d=3 Ginibre pair drawn from ``default_rng(3)``,
+    each matrix multiplied by its scale and validated."""
+    rng = np.random.default_rng(3)
+    mats = [random_state(3, "ginibre_mixed", rng).matrix for _ in range(2)]
+    return lambda scales: [validate_state(c * m) for c, m in zip(scales, mats)]

@@ -509,8 +509,7 @@ def test_non_finite_pair_invariants_exit_2(tmp_path, capsys):
     path = tmp_path / "huge.json"
     rng = np.random.default_rng(1)
     bio.save_state_set(path, [validate_state(1e100 * s.matrix) for s in commuting_set(4, 3, rng)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["coherence", str(path)]) == 2
+    assert main(["coherence", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: pair invariants are not finite")
@@ -541,6 +540,18 @@ def test_pair_values_below_the_double_range_are_written_not_refused(reference, t
     assert payload == {**report.to_dict(), "tol": 0.0}
     pair = payload["pairs"][0]
     assert 0 < pair["gap"] < pair["delta_llkk"] < sys.float_info.min
+
+
+@pytest.mark.parametrize("scales", [(1e-160, 1e160), (1e-170, 1e170), (1e-250, 1e250)])
+def test_invariant_of_a_mixed_scale_pair_is_the_unit_pairs(scales, ginibre_pair, tmp_path, capsys):
+    # the parent multiplied the raw pair, so A^2 underflowed: it wrote 0.0, exit 0
+    a, b = (op.matrix for op in ginibre_pair((1.0, 1.0)))
+    unit = complex(np.trace(a @ a @ b @ b))
+    path = tmp_path / "mixed.json"
+    bio.save_state_set(path, ginibre_pair(scales))
+    code, payload = run_json(capsys, ["invariant", str(path), "--word", "1,1,2,2"])
+    assert code == 0
+    assert abs(complex(payload["re"], payload["im"]) - unit) <= 1e-15 * abs(unit)
 
 
 @pytest.mark.parametrize(

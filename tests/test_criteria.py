@@ -136,9 +136,8 @@ def test_commutator_gap_is_the_pair_of_set_coherence_decide():
                 for field in dataclasses.fields(expected):
                     assert getattr(got, field.name) == getattr(expected, field.name)
     big = [validate_state(1e100 * s.matrix) for s in commuting_set(4, 2, rng)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match=r"for pair \(1, 2\)$"):
-            commutator_gap(*big)
+    with pytest.raises(NumericError, match=r"for pair \(1, 2\)$"):
+        commutator_gap(*big)
 
 
 def test_a_single_pair_builds_no_set_report(monkeypatch):
@@ -690,12 +689,24 @@ def test_gram_bloch_rejects_non_finite_entries():
     rng = np.random.default_rng(2)
     big = [validate_state(1e160 * random_state(2, "ginibre_mixed", rng).matrix)
            for _ in range(3)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for convention in ("pauli", "orthonormal"):
-            with pytest.raises(NumericError, match="not finite"):
-                gram_bloch(big, convention)
+    for convention in ("pauli", "orthonormal"):
         with pytest.raises(NumericError, match="not finite"):
-            gram_rank_criterion(big)
+            gram_bloch(big, convention)
+    with pytest.raises(NumericError, match="not finite"):
+        gram_rank_criterion(big)
+
+
+def test_gram_scaling_covariance():
+    # entry (i, j) has degree one in each state, so under 2^k every entry is
+    # exactly 2^2k times the unit one, bit for bit, down to its subnormal or 0
+    rng = np.random.default_rng(2)
+    for d, convention in ((2, "pauli"), (3, "orthonormal")):
+        mats = [random_state(d, "ginibre_mixed", rng).matrix for _ in range(3)]
+        unit = gram_bloch([validate_state(m) for m in mats], convention)
+        for k in range(-540, 251):
+            got = gram_bloch([validate_state(2.0**k * m) for m in mats], convention)
+            expected = [math.ldexp(v, 2 * k).hex() for v in unit.ravel().tolist()]
+            assert [v.hex() for v in got.ravel().tolist()] == expected, (d, k)
 
 
 def test_gram_rank_criterion_trine():

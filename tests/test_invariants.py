@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from bargmann.exceptions import ShapeError, WordError
+from bargmann.exceptions import NumericError, ShapeError, WordError
 from bargmann.fixtures import fixture
 from bargmann.invariants import (
     BargmannScenario,
@@ -13,6 +15,7 @@ from bargmann.invariants import (
     scenario_catalog,
     word_text,
 )
+from bargmann.numkernel import chain_product_trace
 from bargmann.states import commuting_set, haar_unitary, pure_state, purity, validate_state
 
 EMC_W23_EXPECTED = {
@@ -67,6 +70,39 @@ def test_bargmann_invariant_errors():
     mixed_dims = [states[0], pure_state([1, 0, 0])]
     with pytest.raises(ShapeError):
         bargmann_invariant(mixed_dims, (1, 2))
+
+
+@pytest.mark.parametrize("scales", [(1e-160, 1e160), (1e-170, 1e170), (1e-250, 1e250)])
+def test_mixed_scale_word_is_the_unit_pairs(scales, ginibre_pair):
+    # unscaled, A^2 (about 1e-340 at 1e-170) underflows before B^2 brings the
+    # product back: the parent read 0.0, or was off by 2.5e-3 at 1e-160
+    unit = bargmann_invariant(ginibre_pair((1.0, 1.0)), (1, 1, 2, 2))
+    ops = ginibre_pair(scales)
+    a, b = (op.matrix for op in ops)
+    for value in (bargmann_invariant(ops, (1, 1, 2, 2)), chain_product_trace([a, a, b, b])):
+        assert abs(value - unit) <= 1e-15 * abs(unit)
+
+
+def test_word_scaling_covariance(ginibre_pair):
+    # under (2^k1 A, 2^k2 B) a word with m1 letters 1 and m2 letters 2 is
+    # exactly 2^(k1 m1 + k2 m2) times its unit value, bit for bit, down to its
+    # subnormal or 0; past the double range it is a NumericError
+    unit_pair = ginibre_pair((1.0, 1.0))
+    words = [(1,), (1, 2), (1, 1, 2, 2), (1, 2, 1, 2), (2, 1, 1), (2, 2, 1, 2, 2)]
+    units = {w: bargmann_invariant(unit_pair, w) for w in words}
+    for k1 in range(-500, 501, 3):
+        for k2 in (-k1, k1 // 2, 500 - abs(k1)):
+            ops = ginibre_pair((2.0**k1, 2.0**k2))
+            for w, unit in units.items():
+                k = k1 * w.count(1) + k2 * w.count(2)
+                try:
+                    expected = [math.ldexp(unit.real, k).hex(), math.ldexp(unit.imag, k).hex()]
+                except OverflowError:
+                    with pytest.raises(NumericError, match="trace of chained product is not finite"):
+                        bargmann_invariant(ops, w)
+                    continue
+                got = bargmann_invariant(ops, w)
+                assert [got.real.hex(), got.imag.hex()] == expected, (k1, k2, w)
 
 
 def test_scenario_catalog():

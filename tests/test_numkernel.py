@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from bargmann.exceptions import HermiticityError, ShapeError
+from bargmann.criteria import gram_bloch, gram_rank_criterion
+from bargmann.exceptions import HermiticityError, NumericError, ShapeError
+from bargmann.invariants import bargmann_invariant
 from bargmann.numkernel import (
     HERM_TOL,
     as_complex_matrix,
@@ -9,6 +11,7 @@ from bargmann.numkernel import (
     chain_product_trace,
     hermitian_eig,
 )
+from bargmann.states import overlap, purity
 
 
 def rand_hermitian(rng, d):
@@ -125,3 +128,23 @@ def test_hermitian_eig_random_reconstruction():
             assert np.all(np.diff(w) >= 0)
             assert_spectrum_moments(w, a)
             np.testing.assert_array_equal(m, a)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda ops: bargmann_invariant(ops, (1, 2)), "trace of chained product"),
+        (lambda ops: chain_product_trace([op.matrix for op in ops]), "trace of chained product"),
+        (lambda ops: gram_bloch(ops, "orthonormal"), "Bloch Gram matrix"),
+        (gram_rank_criterion, "Bloch Gram matrix"),
+        (lambda ops: purity(ops[0]), "purity"),
+        (lambda ops: overlap(*ops), "overlap"),
+    ],
+    ids=["bargmann_invariant", "chain_product_trace", "gram_bloch", "gram_rank_criterion",
+         "purity", "overlap"],
+)
+def test_products_past_the_double_range_raise_numeric_error(call, message, ginibre_pair):
+    # a typed error, with no numpy warning ahead of it (pytest makes one an
+    # error): the parent warned, or returned nan for overlap
+    with pytest.raises(NumericError, match=f"^{message} is not finite$"):
+        call(ginibre_pair((1e200, 1e200)))
