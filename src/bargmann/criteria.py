@@ -34,7 +34,7 @@ from .exceptions import (
     ShapeError,
 )
 from .io import _Table
-from .numkernel import _binary_scaled, _product_trace, _unscaled
+from .numkernel import _binary_scaled, _unscaled
 from .states import BlochVector, PositiveOperator, _pauli_vector, _stacked
 
 __all__ = [
@@ -435,7 +435,7 @@ def _gram_of(x: np.ndarray, convention: str) -> np.ndarray:
         raise ValueError(f"unknown Bloch convention {convention!r}")
     if convention == "pauli" and d != 2:
         raise ShapeError(f"pauli convention requires dimension 2, got {d}")
-    y, e, _ = _binary_scaled(x, norms=False)
+    y, e, _ = _binary_scaled(x)
     t = np.trace(y, axis1=1, axis2=2).real
     v = y.reshape(n, -1).view(np.float64)  # v_i . v_j = Re tr(y_i y_j†)
     return _unscaled(c * (v @ v.T - np.outer(t, t) / d), np.add.outer(e, e), "Bloch Gram matrix")
@@ -587,8 +587,8 @@ def imaginarity_witness(
 
     The trio y_i = 2^-e_i rho_i and its norms ||y_i||_F come from
     :func:`~bargmann.numkernel._binary_scaled`, as in the pair kernel, and lhs,
-    rhs and im_delta are scaled back by 2^E, E = e_l + e_k + e_s, in one call:
-    both sides of the bound scale by that power of two, exactly.
+    rhs and im_delta are scaled back by 2^E, E = e_l + e_k + e_s: both sides
+    of the bound scale by that power of two, exactly.
     The gap of (k, s) is the kernel's on the scaled trio (scaled back by 2^0),
     so an unscaled tr(rho_k^2 rho_s^2) past the double range, which no output
     holds, is no error.  A result past the range raises :class:`NumericError`;
@@ -608,12 +608,12 @@ def imaginarity_witness(
 def _imaginarity(rho_l, rho_k, rho_s) -> tuple[ImaginarityWitness, float]:
     """The witness and |Im tr(rho_l rho_k rho_s)| / prod ||rho||_F, read on the scaled trio."""
     y, e, n2 = _binary_scaled(_stacked([rho_l, rho_k, rho_s]))
-    im = _product_trace(list(y)).imag
+    im = float(np.trace(y[0] @ y[1] @ y[2]).imag)
     # ||[y_k, y_s]||_F^2 = 2 gap >= 0 by construction.
     _, _, (gap,) = _pair_gaps(y, [1], [2])
     lhs, rhs = 2.0 * abs(im), math.sqrt(n2[0]) * math.sqrt(2.0 * gap)
-    exp, what = int(e.sum()), "trace of chained product"
-    im_delta, lhs_e, rhs_e = _unscaled((im, lhs, rhs), exp, what).tolist()
+    im_delta = float(_unscaled(im, int(e.sum()), "trace of chained product"))
+    lhs_e, rhs_e = _unscaled((lhs, rhs), int(e.sum()), "imaginarity bound").tolist()
     return ImaginarityWitness(
         lhs=lhs_e, rhs=rhs_e, satisfied=bool(lhs <= rhs + 1e-10), im_delta=im_delta,
     ), abs(im) / math.prod(map(math.sqrt, n2)) if im else 0.0

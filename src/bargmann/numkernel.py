@@ -11,7 +11,6 @@ of a few hundred are the intended operating range.
 from __future__ import annotations
 
 import math
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -84,8 +83,8 @@ def chain_product_trace(matrices: Sequence[np.ndarray]) -> complex:
     """Trace of the ordered product ``M1 @ M2 @ ... @ Mk``.
 
     The product accumulates left-to-right with no reordering, so the result
-    is reproducible bit-for-bit for a fixed input order.  It is read on the
-    binary-scaled matrices (:func:`_word_trace`) at any mix of scales; NumericError past the range.
+    is reproducible bit-for-bit for a fixed input order.  It is read as
+    :func:`_word_trace` reads it, right at any mix of scales if in range.
 
     Parameters
     ----------
@@ -106,23 +105,17 @@ def chain_product_trace(matrices: Sequence[np.ndarray]) -> complex:
     return _word_trace(np.array(ms), list(range(len(ms))))
 
 
-def _product_trace(ms: Sequence[np.ndarray]) -> complex:
-    """tr(M1 M2 ... Mk), multiplied left to right with no check."""
-    return complex(np.trace(reduce(np.matmul, ms)))
-
-
-def _binary_scaled(x: np.ndarray, norms: bool = True) -> tuple:
+def _binary_scaled(x: np.ndarray) -> tuple:
     """``(y, e, n2)`` for a stack ``x`` of finite complex matrices, (n, d, d):
     y_i = 2^-e_i x_i, e_i from ``frexp`` of the largest |Re| or |Im| entry of
-    x_i, which y_i holds in [1/2, 1) (e_i = 0 for a zero matrix), and n2_i =
-    ||y_i||_F^2 in [1/4, 2 d^2) unless x_i = 0 (None unless ``norms``).  The y_i
-    round as the x_i do wherever neither leaves the double range, and a quantity
-    of degree m in x_i is 2^(m e_i) times its value on y_i: the one range
-    strategy of every product trace."""
+    x_i, which y_i holds in [1/2, 1) (e_i = 0 for x_i = 0), and n2_i =
+    ||y_i||_F^2 in [1/4, 2 d^2) unless x_i = 0.  The y_i round as the x_i do in
+    range, and a quantity of degree m in x_i is 2^(m e_i) times its value on
+    y_i: the one range strategy of every product trace."""
     f = x.view(float)
     e = np.frexp(np.maximum(f.max(axis=(1, 2)), -f.min(axis=(1, 2))))[1]
     y = np.ldexp(f, -e[:, None, None]).view(complex)
-    return y, e, np.sum(np.abs(y) ** 2, axis=(1, 2)) if norms else None
+    return y, e, np.sum(np.abs(y) ** 2, axis=(1, 2))
 
 
 def _unscaled(values, exp, what: str) -> np.ndarray:
@@ -137,10 +130,16 @@ def _unscaled(values, exp, what: str) -> np.ndarray:
 
 def _word_trace(x: np.ndarray, word: list) -> complex:
     """tr(x[i1] ... x[im]) for 0-based indices ``word`` into the stack ``x``: the
-    binary-scaled product, of degree one per factor, times 2^(e_i1 + ... + e_im)."""
-    y, e, _ = _binary_scaled(x, norms=False)
-    value = _product_trace([y[i] for i in word])
-    exp = sum(map(e.tolist().__getitem__, word))
+    product of the binary-scaled factors times 2^(e_i1 + ... + e_im).  Each
+    partial product but the last is rescaled, exactly, by the power of two of
+    its largest |Re| or |Im| entry, so no length of word leaves the range."""
+    y, e, _ = _binary_scaled(x)
+    acc, exp = y[word[0]], int(e[word].sum())
+    for i in word[1:-1]:
+        f = (acc @ y[i]).view(float)
+        k = math.frexp(np.abs(f).max())[1]
+        acc, exp = np.ldexp(f, -k).view(complex), exp + k
+    value = complex(np.trace(acc @ y[word[-1]] if len(word) > 1 else acc))
     return complex(*_unscaled((value.real, value.imag), exp, "trace of chained product"))
 
 

@@ -21,6 +21,7 @@ from bargmann.states import (
     commuting_set,
     maximally_mixed,
     overlap,
+    pure_state,
     purity,
     qubit_from_bloch,
     random_state,
@@ -552,6 +553,19 @@ def test_invariant_of_a_mixed_scale_pair_is_the_unit_pairs(scales, ginibre_pair,
     code, payload = run_json(capsys, ["invariant", str(path), "--word", "1,1,2,2"])
     assert code == 0
     assert abs(complex(payload["re"], payload["im"]) - unit) <= 1e-15 * abs(unit)
+
+
+@pytest.mark.parametrize("vector, length", [([1, 0], 1100), (np.ones(16), 400)],
+                         ids=["basis-projector", "uniform-d16"])
+def test_invariant_of_a_long_word_is_one(vector, length, tmp_path, capsys):
+    # every power of a pure state has trace 1, at any length of word, with no
+    # numpy warning (pytest makes one an error) and nothing on stderr
+    path = tmp_path / "pure.json"
+    bio.save_state_set(path, [pure_state(vector)])
+    code = main(["invariant", str(path), "--word", ",".join(["1"] * length)])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert (code, payload["re"], payload["im"], captured.err) == (0, 1.0, 0.0, "")
 
 
 @pytest.mark.parametrize(

@@ -947,6 +947,18 @@ def test_imaginarity_witness_past_the_double_range_raises(ginibre_trio):
         imaginarity_witness(*ginibre_trio((1e300,) * 3))
 
 
+def test_imaginarity_bound_past_the_double_range_is_named():
+    # a real trio has Im tr(rho_l rho_k rho_s) = 0 exactly, which scales back
+    # in range; at trace 1e110 its rhs, of degree three, does not
+    rng = np.random.default_rng(0)
+    trio = []
+    for _ in range(3):
+        g = rng.normal(size=(2, 2))
+        trio.append(validate_state(1e110 * (g @ g.T) / np.trace(g @ g.T)))
+    with pytest.raises(NumericError, match="^imaginarity bound is not finite$"):
+        imaginarity_witness(*trio)
+
+
 def test_imaginarity_witness_random_sweep():
     rng = np.random.default_rng(51)
     for _ in range(200):

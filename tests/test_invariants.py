@@ -83,6 +83,18 @@ def test_mixed_scale_word_is_the_unit_pairs(scales, ginibre_pair):
         assert abs(value - unit) <= 1e-15 * abs(unit)
 
 
+@pytest.mark.parametrize("vector, length", [([1, 0], 1100), (np.ones(16), 400)],
+                         ids=["basis-projector", "uniform-d16"])
+def test_long_word_of_a_pure_state_is_one(vector, length):
+    # a pure state is its own square, so every power has trace 1.  Each scaled
+    # factor holds its largest entry in [1/2, 1), so a product of those factors
+    # alone falls to 2^-1100 (0) for the projector and passes 2^1024 at d=16;
+    # the running product is rescaled after every factor instead
+    psi = pure_state(vector)
+    assert bargmann_invariant([psi], (1,) * length) == 1.0
+    assert chain_product_trace([psi.matrix] * length) == 1.0
+
+
 def test_word_scaling_covariance(ginibre_pair):
     # under (2^k1 A, 2^k2 B) a word with m1 letters 1 and m2 letters 2 is
     # exactly 2^(k1 m1 + k2 m2) times its unit value, bit for bit, down to its
