@@ -40,12 +40,14 @@ EXIT_ERROR = 2
 
 
 def _write_report(payload, out_path: "str | None") -> None:
-    text = json.dumps(payload, cls=io.ArrayEncoder, indent=2, allow_nan=False) + "\n"
+    text = json.dumps(payload, cls=io.ArrayEncoder, indent=2, allow_nan=False)
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
+        sys.stdout.write("\n")
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -128,12 +130,14 @@ def _paper_check(args, _):
 
 
 def _random(args, _):
+    if args.count < 1:
+        raise BargmannError(f"--count must be at least 1, got {args.count}")
     rng = np.random.default_rng(args.seed)
     if args.ensemble == "commuting":
         drawn = states.commuting_set(args.dim, args.count, rng)
     else:
         drawn = [states.random_state(args.dim, args.ensemble, rng) for _ in range(args.count)]
-    return io.state_set_to_document(drawn), False
+    return io._document(drawn), False
 
 
 def _qubit_check(args, ops):

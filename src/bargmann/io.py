@@ -16,23 +16,34 @@ bit-for-bit.
 
 Layout contract: documents and CLI reports are written through
 :class:`ArrayEncoder`, whose text is byte-identical to
-``json.dumps(x, indent=2, allow_nan=False)``.  With ``indent`` set, the
-stdlib encodes in pure Python, one scalar at a time, two to three times
-slower on a d=256 document than the C encoder's compact text.  The walk
-writes brackets, keys, strings and indentation only; every other value it
-meets (a number, ``true``, ``false``, ``null``, ``[]``, ``{}``) comes from
-one C-encoder call, split on ``,``.  The text of a JSON scalar holds none of
-``,[]{}"``; so where a list's compact text holds no ``"``, ``{`` or ``[]``,
-its brackets and commas show its layout, and only line breaks and indents
-are put back.  A nested list starting with a float or a list (a matrix, an
-eigenvalue list) is one C-encoder call, refused unless all its scalars sit
-at one depth.  A record list held as a :class:`_Table` of columns
-(``coherence`` writes the pair kernel's, and builds a ``PairGap`` only when a
-library caller reads one; ``qubit-check`` writes its pair rows) is one call
-per column, refused unless each value is one scalar or one flat list; a
-string, dict or matrix column is refused before any call.  A list of dicts
-is walked.  A refused table is left to the stdlib, as is all text with
-``ensure_ascii=False`` and any error from the C functions.
+``json.dumps(x, indent=2, allow_nan=False)``, with each non-empty square
+complex array in ``x`` read as its :func:`matrix_to_json` lists.  With
+``indent`` set, the stdlib encodes in pure Python, one scalar at a time, two
+to three times slower on a d=256 document than the C encoder's compact text.
+The walk writes brackets, keys, strings and indentation only.  A finite complex
+``(d, d)`` array (``save_state_set`` and ``random`` pass the validated
+states' arrays) is written from its stored doubles: one ``float.__repr__``
+each, set between the fixed separators of the ``[[[re, im], ...], ...]``
+layout.  An entry below the diagonal whose bits are its mirror's conjugate
+(same real bits, sign-flipped imaginary bits; every such entry of a
+validated ``(A + A†)/2`` but imaginary ±0.0 pairs) reuses its mirror's text,
+the imaginary one with its leading ``-`` toggled, since
+``repr(-x) == "-" + repr(x)`` for every finite double.  A non-finite array
+is left to the stdlib, which writes ``matrix_to_json(m)`` through
+``default``.  Every other value the walk meets (a number, ``true``,
+``false``, ``null``, ``[]``, ``{}``) comes from one C-encoder call, split on
+``,``.  The text of a JSON scalar holds none of ``,[]{}"``; so where a
+list's compact text holds no ``"``, ``{`` or ``[]``, its brackets and commas
+show its layout, and only line breaks and indents are put back.  A nested
+list starting with a float or a list (an eigenvalue list, a Gram matrix) is
+one C-encoder call, refused unless all its scalars sit at one depth.  A
+record list held as a :class:`_Table` of columns (``coherence`` writes the
+pair kernel's, and builds a ``PairGap`` only when a library caller reads
+one; ``qubit-check`` writes its pair rows) is one call per column, refused
+unless each value is one scalar or one flat list; a string, dict or matrix
+column is refused before any call.  A list of dicts is walked.  A refused
+table is left to the stdlib, as is all text with ``ensure_ascii=False`` and
+any error from the C functions.
 """
 
 from __future__ import annotations
@@ -62,6 +73,15 @@ __all__ = [
 # Numeric lists, record columns and the walk's values go through this
 # compact C encoder; the text it writes also shows whether a fast path applies.
 _COMPACT = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+# The sign bit of a float64 read as uint64: x and -x differ in it alone.
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _is_matrix(o) -> bool:
+    """Whether ``o`` is a non-empty square complex array, which the encoder
+    writes as ``matrix_to_json(o)``."""
+    return type(o) is np.ndarray and o.dtype == np.complex128 and o.ndim == 2 \
+        and 0 < o.shape[0] == o.shape[1]
 
 
 def _scalars_only(text: str) -> bool:
@@ -82,18 +102,20 @@ class _Table:
 
 class ArrayEncoder(json.JSONEncoder):
     """``json.JSONEncoder`` whose indented text is the stdlib's, byte for byte,
-    with each regular numeric nested list encoded by the C encoder and each
-    :class:`_Table` written column by column.
+    with each regular numeric nested list encoded by the C encoder, each
+    :class:`_Table` written column by column and each square complex array
+    written from its doubles as its :func:`matrix_to_json` lists.
 
     Other dicts and lists are walked here, which writes their brackets, keys,
     strings and indentation.  Every other value the walk meets is left in
     place and written, all in one C-encoder call, once the walk ends.  Any
     ``ValueError``, ``TypeError`` or ``RecursionError`` from the C functions
-    (a non-``str`` key, a non-finite float, a value needing ``default``)
-    re-encodes the whole object with ``json`` itself, so its output or its
-    error is the stdlib's.  Without a positive integer ``indent``, with
+    or the array writer (a non-``str`` key, a non-finite float, a value
+    needing ``default``) re-encodes the whole object with ``json`` itself,
+    so its output or its error is the stdlib's.  Without a positive integer ``indent``, with
     ``sort_keys``, with ``ensure_ascii=False`` or with a custom item
-    separator, ``encode`` is the stdlib's.
+    separator, ``encode`` is the stdlib's; there and in any re-encoding,
+    ``default`` hands it a table's records and an array's lists.
     """
 
     def encode(self, o) -> str:
@@ -114,7 +136,9 @@ class ArrayEncoder(json.JSONEncoder):
         return "".join(out)
 
     def default(self, o):  # what the stdlib calls for a value it cannot write
-        return o.records() if type(o) is _Table else super().default(o)
+        if type(o) is _Table:
+            return o.records()
+        return matrix_to_json(o) if _is_matrix(o) else super().default(o)
 
     def _emit(self, o, nl: str, out: list) -> None:
         """Append ``o``'s text, with ``nl`` the newline and indent of its line;
@@ -133,6 +157,8 @@ class ArrayEncoder(json.JSONEncoder):
                     self._emit(item, inner, out)
                     sep = "," + inner
                 out.append(nl + "]")
+        elif _is_matrix(o):
+            out.append(self._matrix(o, nl))
         elif type(o) is _Table:  # if refused, a value only the stdlib can write
             out.append(self._columns(o.columns, nl) or o)
         elif isinstance(o, dict) and o:
@@ -181,6 +207,40 @@ class ArrayEncoder(json.JSONEncoder):
         parts[0] = "[" + rec + "{" + val + keys[0]
         return "".join(parts) + rec + "}" + nl + "]"
 
+    def _matrix(self, m: np.ndarray, nl: str) -> str:
+        """The text of ``matrix_to_json(m)``, one ``repr`` per stored double;
+        ``ValueError`` (so the stdlib writes it) if ``m`` holds a non-finite
+        entry.
+
+        An entry below the diagonal whose bits are its mirror's conjugate
+        (same real bits, sign-flipped imaginary bits) reuses its mirror's
+        texts, the imaginary one with its leading ``-`` toggled: for every
+        finite double ``repr(-x) == "-" + repr(x)``.
+        """
+        d = m.shape[0]
+        parts = np.ascontiguousarray(m).view(float).reshape(d, d, 2)
+        if not np.isfinite(parts).all():
+            raise ValueError("matrix left to the stdlib")
+        bits = parts.view(np.uint64)
+        mirror = np.tril((bits[..., 0] == bits[..., 0].T)
+                         & (bits[..., 1] == bits[..., 1].T ^ _SIGN_BIT), -1)
+        own = ~mirror
+        line = [nl + self._ind * k for k in range(4)]  # line[k]: axis k
+        flat = np.empty(4 * d * d + 1, dtype=object)
+        cells = flat[:-1].reshape(d, d, 4)  # per entry: the text before re, re, ",", im
+        cells[..., 0] = line[2] + "]," + line[2] + "[" + line[3]
+        cells[1:, 0, 0] = line[2] + "]" + line[1] + "]," + line[1] + "[" + line[2] + "[" + line[3]
+        cells[0, 0, 0] = "[" + line[1] + "[" + line[2] + "[" + line[3]
+        cells[..., 2] = "," + line[3]
+        flat[-1] = line[2] + "]" + line[1] + "]" + nl + "]"
+        texts = list(map(float.__repr__, parts[own].ravel().tolist()))
+        cells[own, 1::2] = np.array(texts, dtype=object).reshape(-1, 2)
+        re, im = cells[..., 1], cells[..., 3]
+        re[mirror] = re.T[mirror]
+        im[mirror] = np.array([t[1:] if t[0] == "-" else "-" + t
+                               for t in im.T[mirror].tolist()], dtype=object)
+        return "".join(flat.tolist())
+
     def _array(self, x, nl: str) -> "str | None":
         """The compact C text of a nested list of scalars all at one depth,
         re-indented; None if ``x`` is not one.  Only lists starting with a
@@ -193,7 +253,10 @@ class ArrayEncoder(json.JSONEncoder):
         """
         if not isinstance(x[0], (float, list, tuple)):
             return None
-        text = _COMPACT.encode(x)
+        try:
+            text = _COMPACT.encode(x)
+        except TypeError:  # say, a matrix inside: walked, so it is written here
+            return None
         depth = len(text) - len(text.lstrip("["))
         if not _scalars_only(text) or not text.endswith("]" * depth):
             return None
@@ -268,6 +331,17 @@ def state_set_to_document(
     states: Sequence[PositiveOperator], labels: "Sequence[str] | None" = None
 ) -> dict:
     """Serialize states (with optional labels) to the document dict."""
+    doc = _document(states, labels)
+    for entry in doc["states"]:
+        entry["matrix"] = matrix_to_json(entry["matrix"])
+    return doc
+
+
+def _document(
+    states: Sequence[PositiveOperator], labels: "Sequence[str] | None" = None
+) -> dict:
+    """The document dict with each state's validated array as its ``"matrix"``,
+    which :class:`ArrayEncoder` writes as :func:`matrix_to_json` would."""
     if not states:
         raise DocumentError("document needs at least one state")
     for i, s in enumerate(states):
@@ -285,7 +359,7 @@ def state_set_to_document(
     return {
         "dimension": states[0].dim,
         "states": [
-            {"label": lab, "matrix": matrix_to_json(s.matrix)}
+            {"label": lab, "matrix": s.matrix}
             for lab, s in zip(labels, states)
         ],
     }
@@ -328,7 +402,7 @@ def save_state_set(
     path, states: Sequence[PositiveOperator], labels: "Sequence[str] | None" = None
 ) -> None:
     """Write states to a JSON document file."""
-    text = json.dumps(state_set_to_document(states, labels), cls=ArrayEncoder,
-                      indent=2, allow_nan=False)
+    text = json.dumps(_document(states, labels), cls=ArrayEncoder, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
+        fh.write("\n")

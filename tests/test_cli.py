@@ -610,11 +610,14 @@ def test_inputs_out_of_range_are_one_error_line(fixture_file, tmp_path, capsys):
         ["coherence", str(deep)],
         ["random", "--dim", "0", "--count", "1"],
         ["random", "--dim", "2", "--count", "0", "--ensemble", "commuting"],
+        ["random", "--dim", "0", "--count", "0"],
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # a count below 1 is named before anything is drawn, in every ensemble
+    assert captured.err == "error: --count must be at least 1, got 0\n"
 
 
 @pytest.mark.parametrize(

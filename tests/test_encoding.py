@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bargmann import io as bio
+from bargmann.cli import main
 from bargmann.criteria import set_coherence_decide
 from bargmann.states import random_state
 
@@ -341,3 +342,114 @@ def test_save_state_set_writes_the_stdlib_text(tmp_path):
     bio.save_state_set(path, states, labels=["a", "b", "c"])
     doc = bio.state_set_to_document(states, labels=["a", "b", "c"])
     assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
+
+
+MATRIX_FLOATS = FLOATS | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1e-170, 1e160])
+WRAPPERS = [lambda x: [x], lambda x: {"m": x, "n": 2}, lambda x: [0.5, x, "s", {"k": x}]]
+
+
+@st.composite
+def complex_matrices(draw):
+    """A (d, d) complex array, raw or Hermitian, as a C, transposed, reversed or
+    Fortran-order array.  A Hermitian one has each entry below the diagonal
+    equal to its mirror's conjugate, then some of them broken by negating a
+    part (an imaginary +0.0 mirrored by +0.0, for one)."""
+    d = draw(st.integers(1, 5))
+    parts = draw(st.lists(MATRIX_FLOATS, min_size=2 * d * d, max_size=2 * d * d))
+    m = np.array(parts).reshape(d, d, 2).view(complex)[..., 0].copy()
+    if draw(st.booleans()):
+        lower = np.tril_indices(d, -1)
+        m[lower] = m.T.conj()[lower]
+        for i, j in zip(*lower):
+            part = draw(st.sampled_from(["none", "real", "imag"]))
+            if part != "none":
+                getattr(m, part)[i, j] *= -1
+    view = draw(st.sampled_from(["C", "T", "reversed", "F"]))
+    return {"C": m, "T": m.T, "reversed": m[::-1, ::-1], "F": np.asfortranarray(m)}[view]
+
+
+def as_lists(x):
+    """``x`` with each array replaced by its ``matrix_to_json`` lists."""
+    if isinstance(x, np.ndarray):
+        return bio.matrix_to_json(x)
+    if isinstance(x, list):
+        return [as_lists(item) for item in x]
+    return {key: as_lists(value) for key, value in x.items()} if isinstance(x, dict) else x
+
+
+class Direct(bio.ArrayEncoder):
+    def iterencode(self, o, _one_shot=False):
+        raise AssertionError("fell back to the stdlib encoder")
+
+
+def nest(m, wrappers):
+    for wrap in wrappers:
+        m = wrap(m)
+    return m
+
+
+@settings(deadline=None)
+@given(complex_matrices(), st.lists(st.sampled_from(WRAPPERS), max_size=3),
+       st.sampled_from([2, 4]))
+@example(np.array([[0.25]], dtype=complex), [], 2)
+@example(np.array([[0.5, 0.5 + 0j], [0.5 - 0j, 0.5]]), [], 2)  # a mirrored +0.0/-0.0 pair
+@example(np.array([[0.5, 0.5 + 0j], [0.5 + 0j, 0.5]]), [], 4)  # +0.0 mirrored by +0.0
+@example(np.array([[5e-324, 1e308 - 1e-170j], [1e308 + 1e-170j, -0.0]]), WRAPPERS, 2)
+def test_matrices_are_written_as_their_nested_lists(m, wrappers, indent):
+    # A finite complex array is written by the encoder itself, never by the
+    # stdlib, as the text the stdlib writes for its matrix_to_json lists.
+    tree = nest(m, wrappers)
+    assert json.dumps(tree, cls=Direct, indent=indent, allow_nan=False) \
+        == json.dumps(as_lists(tree), indent=indent, allow_nan=False)
+    # configurations left to the stdlib get the lists through default()
+    for options in ({}, {"indent": indent, "sort_keys": True},
+                    {"indent": indent, "ensure_ascii": False}):
+        assert json.dumps(tree, cls=bio.ArrayEncoder, **options) \
+            == json.dumps(as_lists(tree), **options)
+
+
+@settings(deadline=None)
+@given(complex_matrices(), st.lists(st.sampled_from(WRAPPERS), max_size=2),
+       NON_FINITE, st.booleans(), st.data())
+def test_non_finite_matrices_are_left_to_the_stdlib(m, wrappers, bad, imag, data):
+    m = m.copy()
+    i, j = data.draw(st.integers(0, len(m) - 1)), data.draw(st.integers(0, len(m) - 1))
+    (m.imag if imag else m.real)[i, j] = bad
+    tree = nest(m, wrappers)
+    with pytest.raises(ValueError) as ours:
+        json.dumps(tree, cls=bio.ArrayEncoder, indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as stdlib:
+        json.dumps(as_lists(tree), indent=2, allow_nan=False)
+    assert str(ours.value) == str(stdlib.value)
+    assert json.dumps(tree, cls=bio.ArrayEncoder, indent=2) == json.dumps(as_lists(tree), indent=2)
+
+
+def test_documents_pass_no_matrix_to_the_c_encoder(monkeypatch, tmp_path):
+    # save_state_set and `bargmann random` hand the encoder the validated
+    # arrays: its one C-encoder call is the dimension, and it never falls
+    # back to the stdlib.  state_set_to_document still returns lists.
+    calls = []
+
+    class Counting(json.JSONEncoder):
+        def encode(self, o):
+            calls.append(o)
+            return super().encode(o)
+
+    monkeypatch.setattr(bio, "_COMPACT", Counting(separators=(",", ":"), allow_nan=False))
+    monkeypatch.setattr(bio.ArrayEncoder, "iterencode", Direct.iterencode)
+    rng = np.random.default_rng(6)
+    states = [random_state(5, "ginibre_mixed", rng) for _ in range(3)]
+    doc = bio.state_set_to_document(states)
+    assert all(type(e["matrix"]) is list and e["matrix"] == bio.matrix_to_json(s.matrix)
+               for e, s in zip(doc["states"], states))
+    path = tmp_path / "saved.json"
+    bio.save_state_set(path, states)
+    assert calls == [[5]]
+    assert path.read_text(encoding="utf-8") == reference(doc) + "\n"
+    calls.clear()
+    path = tmp_path / "random.json"
+    assert main(["random", "--dim", "5", "--count", "3", "--seed", "2", "--out", str(path)]) == 0
+    assert calls == [[5]]
+    text = path.read_text(encoding="utf-8")
+    assert text == reference(json.loads(text)) + "\n"
